@@ -164,7 +164,8 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [row for row in csv.reader(fh)]
 
 

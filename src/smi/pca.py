@@ -1,10 +1,12 @@
 """Correlation matrix, symmetric eigendecomposition, component selection.
 
-The eigensolver is a cyclic Jacobi iteration: provably convergent for
-symmetric matrices, deterministic (fixed sweep order, fixed sign
-convention), and entirely adequate at the 31x31 scale this engine works
-at. Reductions on the result path use fixed-order accumulation so that
-identical inputs give bit-identical output everywhere.
+The eigensolver starts from LAPACK's eigenvectors (numpy.linalg.eigh)
+and runs a cyclic Jacobi iteration on V^T A V to polish and certify the
+result: deterministic (fixed sweep order, fixed sign convention), with
+the off-diagonal norm below tol guaranteed on return. Reductions on the
+result path use fixed-order accumulation. Identical inputs give
+byte-identical output on the same platform and numpy/BLAS build; across
+builds only the last bits of the full-precision eigenpairs may differ.
 """
 
 from __future__ import annotations
@@ -91,30 +93,30 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
     if n < 3:
         raise InputError(f"need at least 3 rows to estimate correlations, got {n}")
 
-    means = np.array([_ordered_sum(values[:, j]) / n for j in range(p)])
+    # fixed-order accumulation over the rows, one whole-vector step per
+    # row: the same additions in the same order as a scalar loop per column
+    total = np.zeros(p, dtype=np.float64)
+    for row in values:
+        total += row
+    means = total / n
     dev = values - means
 
-    cov = np.empty((p, p), dtype=np.float64)
-    for j in range(p):
-        for k in range(j, p):
-            c = _ordered_sum(dev[:, j] * dev[:, k]) / (n - 1)
-            cov[j, k] = c
-            cov[k, j] = c
+    # products commute exactly, so each row's outer product, and with it
+    # the accumulated covariance, is bitwise symmetric
+    acc = np.zeros((p, p), dtype=np.float64)
+    for row in dev:
+        acc += np.multiply.outer(row, row)
+    cov = acc / (n - 1)
 
     if basis is Basis.COVARIANCE:
         return cov
 
-    for j in range(p):
-        if cov[j, j] == 0.0:
-            raise DegenerateColumnError(names[j])
-    corr = np.empty((p, p), dtype=np.float64)
-    for j in range(p):
-        corr[j, j] = 1.0
-        for k in range(j + 1, p):
-            r = cov[j, k] / math.sqrt(cov[j, j] * cov[k, k])
-            r = min(1.0, max(-1.0, r))
-            corr[j, k] = r
-            corr[k, j] = r
+    var = np.diag(cov)
+    zero = np.flatnonzero(var == 0.0)
+    if zero.size:
+        raise DegenerateColumnError(names[zero[0]])
+    corr = np.clip(cov / np.sqrt(np.multiply.outer(var, var)), -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
     return corr
 
 
@@ -128,31 +130,25 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
-    # flip each column so its largest-magnitude entry is positive,
-    # lowest index breaking magnitude ties
-    p = vectors.shape[1]
-    for j in range(p):
-        col = vectors[:, j]
-        best = 0
-        best_mag = abs(col[0])
-        for i in range(1, len(col)):
-            mag = abs(col[i])
-            if mag > best_mag:
-                best = i
-                best_mag = mag
-        if col[best] < 0.0:
-            vectors[:, j] = -col
+    # flip each column so its largest-magnitude entry is positive; argmax
+    # takes the first maximum, so the lowest index breaks magnitude ties
+    rows = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[rows, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
 
 
 def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix, LAPACK-seeded and Jacobi-polished.
 
-    Sweeps the upper triangle in row order, annihilating each off-diagonal
+    The LAPACK eigenvectors V of the matrix A seed the iteration, which
+    starts from V^T A V instead of A. Cyclic Jacobi rotations then sweep
+    the upper triangle in row order, annihilating each off-diagonal
     entry, until the off-diagonal Frobenius norm drops below tol or the
-    sweep cap is hit (NumericalError carrying the residual). Eigenpairs
-    come back sorted by descending eigenvalue with a deterministic sign
-    convention on the eigenvectors.
+    sweep cap is hit (NumericalError carrying the residual). A good seed
+    usually needs no sweep at all; the norm is checked either way.
+    Eigenpairs come back sorted by descending eigenvalue with a
+    deterministic sign convention on the eigenvectors.
     """
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -166,15 +162,17 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise InputError("matrix is not symmetric within 1e-12")
     a = (a + a.T) / 2.0
+    _, seed = np.linalg.eigh(a)
+    b = seed.T @ a @ seed
 
-    # Fused working block [A | V^T]: the matrix rows and the accumulated
+    # Fused working block [B | V^T]: the matrix rows and the accumulated
     # eigenvector rows rotate with the same (c, s), so one pair of row
-    # operations on the wide block updates both. Column entries of A are
-    # then mirrored from the new rows, which is exact because A stays
+    # operations on the wide block updates both. Column entries of B are
+    # then mirrored from the new rows, which is exact because B stays
     # bitwise symmetric throughout.
     work = np.empty((p, 2 * p), dtype=np.float64)
-    work[:, :p] = a
-    work[:, p:] = np.eye(p)
+    work[:, :p] = (b + b.T) / 2.0
+    work[:, p:] = seed.T
     amat = work[:, :p]
     buf_i = np.empty(2 * p, dtype=np.float64)
     buf_j = np.empty(2 * p, dtype=np.float64)

@@ -95,6 +95,12 @@ def test_metadata_rejects_bad_header(tmp_path):
         load_indicator_metadata(path)
 
 
+def test_metadata_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\ufeff" + META, encoding="utf-8")
+    assert load_indicator_metadata(path).ids == ("le", "abr", "mys")
+
+
 def test_metadata_missing_file():
     with pytest.raises(InputError, match="file not found"):
         load_indicator_metadata("/nonexistent/indicators.csv")
@@ -112,6 +118,13 @@ def test_observations_happy_path(obs_file, small_registry):
     assert matrix.n_states == 4 and matrix.n_indicators == 3
     assert matrix.values[2, 0] == pytest.approx(72.9)
     assert matrix.values.dtype == np.float64
+
+
+def test_observations_accept_byte_order_mark(tmp_path, small_registry):
+    path = tmp_path / "obs.csv"
+    path.write_text("\ufeff" + OBS, encoding="utf-8")
+    matrix = load_observations(path, small_registry)
+    assert matrix.states == ("Alpha", "Beta", "Gamma", "Delta")
 
 
 def test_observations_header_must_match_registry_order(tmp_path, small_registry):
@@ -171,6 +184,12 @@ def test_gini_happy_and_empty(tmp_path):
     header_only = tmp_path / "empty.csv"
     header_only.write_text("state,gini\n", encoding="utf-8")
     assert load_gini(header_only) == {}
+
+
+def test_gini_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "gini.csv"
+    path.write_text("\ufeffstate,gini\nAlpha,0.25\n", encoding="utf-8")
+    assert load_gini(path) == {"Alpha": 0.25}
 
 
 def test_gini_problems_collected(tmp_path):

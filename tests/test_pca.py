@@ -8,6 +8,8 @@ from smi.pca import (
     Basis,
     LoadingConvention,
     Spectrum,
+    _fix_signs,
+    _ordered_sum,
     correlation_matrix,
     eigendecompose,
     loading_matrix,
@@ -47,6 +49,41 @@ def test_correlation_matches_numpy():
         assert np.all(np.diag(corr) == 1.0)
 
 
+def _reference_correlation(data, basis):
+    # the scalar double loop the vectorised correlation_matrix replaced
+    n, p = data.shape
+    means = np.array([_ordered_sum(data[:, j]) / n for j in range(p)])
+    dev = data - means
+    cov = np.empty((p, p))
+    for j in range(p):
+        for k in range(j, p):
+            cov[j, k] = cov[k, j] = _ordered_sum(dev[:, j] * dev[:, k]) / (n - 1)
+    if basis is Basis.COVARIANCE:
+        return cov
+    corr = np.empty((p, p))
+    for j in range(p):
+        corr[j, j] = 1.0
+        for k in range(j + 1, p):
+            r = cov[j, k] / math.sqrt(cov[j, j] * cov[k, k])
+            corr[j, k] = corr[k, j] = min(1.0, max(-1.0, r))
+    return corr
+
+
+def test_correlation_is_byte_identical_to_scalar_loops():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = int(rng.integers(3, 50))
+        p = int(rng.integers(1, 25))
+        data = rng.normal(0, 1, (n, p)) * rng.uniform(0.1, 100, p) + rng.normal(0, 5, p)
+        if trial % 4 == 0:
+            data = np.round(data, 1)
+        if trial % 5 == 0 and p > 1:
+            data[:, -1] = -data[:, 0]
+        for basis in Basis:
+            got = correlation_matrix(data, basis)
+            assert got.tobytes() == _reference_correlation(data, basis).tobytes()
+
+
 def test_covariance_matches_numpy():
     rng = np.random.default_rng(4)
     data = rng.normal(0, 2, (15, 6))
@@ -83,6 +120,13 @@ def test_eigendecompose_hand_two_by_two():
     assert spec.eigenvectors[:, 0] == pytest.approx([r, r], abs=1e-12)
     # sign rule: magnitudes tie, so the lowest index goes positive
     assert spec.eigenvectors[:, 1] == pytest.approx([r, -r], abs=1e-12)
+    ties = np.array([[-0.5, 0.5, 0.0, -0.6],
+                     [0.5, -0.5, -0.0, 0.6],
+                     [0.5, 0.5, 0.0, -0.2]])
+    _fix_signs(ties)
+    assert ties.tolist() == [[0.5, 0.5, 0.0, 0.6],
+                             [-0.5, -0.5, -0.0, -0.6],
+                             [-0.5, 0.5, 0.0, 0.2]]
 
 
 def test_eigendecompose_matches_lapack_eigenvalues():
@@ -127,11 +171,31 @@ def test_eigendecompose_input_checks():
 
 
 def test_eigendecompose_nonconvergence_raises_with_residual():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    # the LAPACK seed leaves a rounding-level residual that no positive
+    # tol this small accepts, and no sweep is allowed to reduce it
+    rng = np.random.default_rng(11)
+    a = rng.normal(0, 1, (9, 9))
+    a = (a + a.T) / 2.0
     with pytest.raises(NumericalError) as exc:
-        eigendecompose(a, max_sweeps=0)
+        eigendecompose(a, tol=1e-300, max_sweeps=0)
     assert exc.value.residual is not None and exc.value.residual > 0
     assert "residual" in str(exc.value)
+
+
+def test_eigendecompose_polishes_when_seed_misses_tol():
+    # at this scale the seed's rounding residual exceeds the absolute tol,
+    # so the Jacobi rotations must run and bring it below
+    rng = np.random.default_rng(13)
+    a = rng.normal(0, 1, (12, 12))
+    a = 1e6 * (a + a.T) / 2.0
+    spec = eigendecompose(a)
+    assert spec.sweeps >= 1
+    assert spec.off_diagonal_norm < 1e-12
+    expected = np.linalg.eigvalsh(a)[::-1]
+    assert float(np.max(np.abs(spec.eigenvalues - expected))) <= (
+        1e-9 * float(np.max(np.abs(expected))))
+    rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
+    assert np.allclose(rebuilt, a, rtol=0.0, atol=1e-8 * float(np.max(np.abs(a))))
 
 
 def test_eigendecompose_handles_rank_deficiency():
