@@ -1,7 +1,7 @@
 """Composite social-mobility index engine.
 
 Min-max rescaling of directional indicators, principal-component weighting
-via a hand-rolled Jacobi eigensolver, weighted composite scores with
+via a LAPACK-seeded, Jacobi-polished eigensolver, weighted composite scores with
 percentile-based categories, and inequality cross-tabulation. The `smi`
 command line drives the same pipeline end to end.
 """

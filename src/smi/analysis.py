@@ -18,7 +18,8 @@ import numpy as np
 from .dataset import GiniTable, IndicatorRegistry
 from .errors import InputError
 from .normalize import NormalizedMatrix
-from .scoring import CATEGORY_ORDER, Category, WeightVector
+from .pca import _ordered_sum
+from .scoring import CATEGORY_ORDER, Category, WeightVector, _weighted_mean
 
 logger = logging.getLogger(__name__)
 
@@ -115,44 +116,42 @@ def scatter_data(scores: dict[str, float], gini: GiniTable) -> ScatterData:
     return ScatterData(records=records, omitted=tuple(omitted))
 
 
+def _pillar_columns(registry: IndicatorRegistry) -> dict[str, list[int]]:
+    """Registry column indices of each pillar, pillars in order of first appearance."""
+    columns: dict[str, list[int]] = {}
+    for j, spec in enumerate(registry):
+        columns.setdefault(spec.pillar, []).append(j)
+    return columns
+
+
 def pillar_weight_totals(weights: WeightVector, registry: IndicatorRegistry) -> dict[str, float]:
     """Total weight carried by each pillar, in order of first appearance."""
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(registry):
         raise InputError(f"{len(w)} weights for a registry of {len(registry)}")
-    totals: dict[str, float] = {}
-    for j, spec in enumerate(registry):
-        totals[spec.pillar] = totals.get(spec.pillar, 0.0) + float(w[j])
-    return totals
+    return {pillar: _ordered_sum(w[columns])
+            for pillar, columns in _pillar_columns(registry).items()}
 
 
 def pillar_scores(norm: NormalizedMatrix, weights: WeightVector,
                   registry: IndicatorRegistry) -> list[PillarScore]:
     """Weighted mean of each state's rescaled values within each pillar.
 
-    Uses the pillar-restricted weights, so the pillar scores are an exact
-    weight-proportional decomposition of the composite index. A pillar
-    whose indicators all carry zero weight is skipped with a warning. The
-    best performer per pillar (highest value, ties to the first state
-    name) is flagged.
+    The composite index's weighted mean restricted to the pillar's
+    columns, so the pillar scores are an exact weight-proportional
+    decomposition of the composite index. A pillar whose indicators all
+    carry zero weight is skipped with a warning. The best performer per
+    pillar (highest value, ties to the first state name) is flagged.
     """
     w = np.asarray(weights, dtype=np.float64)
     totals = pillar_weight_totals(w, registry)
-    pillar_columns: dict[str, list[int]] = {}
-    for j, spec in enumerate(registry):
-        pillar_columns.setdefault(spec.pillar, []).append(j)
-
     out: list[PillarScore] = []
-    for pillar, columns in pillar_columns.items():
+    for pillar, columns in _pillar_columns(registry).items():
         if totals[pillar] <= 0.0:
             logger.warning("pillar %r has zero total weight, skipped", pillar)
             continue
-        values: dict[str, float] = {}
-        for state, row in zip(norm.states, norm.values):
-            acc = 0.0
-            for j in columns:
-                acc += float(row[j]) * float(w[j])
-            values[state] = acc / totals[pillar]
+        means = _weighted_mean(norm.values[:, columns], w[columns])
+        values = dict(zip(norm.states, means.tolist()))
         best_state = max(sorted(values), key=lambda s: values[s])
         for state in norm.states:
             out.append(PillarScore(

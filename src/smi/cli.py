@@ -1,12 +1,15 @@
 """Pipeline orchestration and the smi command line.
 
-`smi run` drives the whole chain: load, validate, rescale, correlate,
-eigendecompose, select, weight, score, rank, categorize, cross-tabulate,
-and dump every stage artifact plus report.json. The normalize/pca/score
-subcommands run single stages against earlier stages' dump files, and
-chaining them reproduces the single-run outputs byte for byte (stage
-handoff files carry full float precision; presentation dumps are rounded
-to 6 decimals).
+One stage pipeline serves every command. Each stage has one helper
+(validate+normalize; correlate, eigendecompose, select, load; weight,
+score, cut, rank) and one writer for its handoff files. `smi run`
+composes them, then categorizes, cross-tabulates and dumps every stage
+artifact plus report.json. The normalize/pca/score subcommands read the
+previous stage's handoff files and call the same helper and writer, so
+chaining them reproduces the single-run outputs byte for byte (handoff
+files carry full float precision; presentation dumps are rounded to 6
+decimals). Every command builds one RunConfig, whose field defaults are
+the flag defaults, and validates it before any work.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
 failure.
@@ -20,8 +23,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +63,6 @@ from .pca import (
     select_components,
 )
 from .scoring import (
-    CategoryThresholds,
     PercentileMethod,
     StateScore,
     composite_index,
@@ -74,7 +77,10 @@ BOUNDARY_WARNING_MARGIN = 1e-3
 
 @dataclass
 class RunConfig:
-    """Everything a run needs: file paths plus every methodological knob."""
+    """Everything a run needs: file paths plus every methodological knob.
+
+    For the pca and score subcommands, data is the normalized.csv handoff.
+    """
 
     data: str
     meta: str
@@ -105,20 +111,12 @@ class RunConfig:
             raise InputError(problems)
 
     def as_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "meta": self.meta,
-            "gini": self.gini,
-            "out_dir": self.out_dir,
-            "eigen_threshold": self.eigen_threshold,
-            "variance_target": self.variance_target,
-            "percentile_method": self.percentile_method.value,
-            "low_percentile": self.low_percentile,
-            "high_percentile": self.high_percentile,
-            "gini_threshold": self.gini_threshold,
-            "pca_basis": self.pca_basis.value,
-            "loading_convention": self.loading_convention.value,
-        }
+        """The paths first, then every knob in field order, enums by value."""
+        out = {name: getattr(self, name) for name in ("data", "meta", "gini", "out_dir")}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out.setdefault(f.name, value.value if isinstance(value, Enum) else value)
+        return out
 
 
 def _fixed(value: float) -> str:
@@ -141,14 +139,17 @@ def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
 def write_spectrum(path: Path, spectrum: Spectrum, selection: ComponentSelection) -> None:
     total = spectrum.total_variance
     chosen = set(selection.selected)
-    rows = []
-    for j, value in enumerate(spectrum.eigenvalues):
-        rows.append([j + 1, repr(float(value)), repr(float(value) / total), int(j in chosen)])
+    rows = [[j + 1, repr(float(value)), repr(float(value) / total), int(j in chosen)]
+            for j, value in enumerate(spectrum.eigenvalues)]
     _write_csv(path, ["component", "eigenvalue", "explained_variance_ratio", "selected"], rows)
 
 
-def read_spectrum(path: Path) -> tuple[list[float], list[int]]:
-    """Recover (all eigenvalues, selected component indices) from spectrum.csv."""
+def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
+    """The selected eigenvalues of a spectrum.csv, as the pca stage writes it.
+
+    The file must hold one eigenvalue per registry indicator and select a
+    non-empty leading prefix PC1..PCk.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["component", "eigenvalue"]:
@@ -164,7 +165,14 @@ def read_spectrum(path: Path) -> tuple[list[float], list[int]]:
                 selected.append(int(row[0]) - 1)
         except (ValueError, IndexError):
             raise InputError(f"{path}: malformed row {lineno}") from None
-    return eigenvalues, selected
+    if len(eigenvalues) != len(registry):
+        raise InputError(
+            f"{path}: {len(eigenvalues)} eigenvalues for a registry of {len(registry)} indicators")
+    if not selected or selected != list(range(len(selected))):
+        raise InputError(
+            f"{path}: selected components must be a leading prefix PC1..PCk, got "
+            + (", ".join(f"PC{j + 1}" for j in selected) or "none"))
+    return eigenvalues[:len(selected)]
 
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
@@ -221,42 +229,78 @@ def _validation_dict(report: ValidationReport) -> dict:
     }
 
 
-def run(config: RunConfig) -> dict:
-    """Execute the full pipeline, write all stage dumps plus report.json, return the report."""
-    started = time.monotonic()
-    started_at = datetime.now(timezone.utc).isoformat()
+def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
+    """Check the config, make the output directory, load the indicator registry."""
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, load_indicator_metadata(config.meta)
 
-    registry = load_indicator_metadata(config.meta)
-    matrix = load_observations(config.data, registry)
-    gini: GiniTable = load_gini(config.gini) if config.gini else {}
 
+def _normalize_stage(matrix: DataMatrix) -> tuple[ValidationReport, NormalizedMatrix]:
+    """Validate the raw observations, then min-max rescale them; constant columns are fatal."""
     validation = validate_matrix(matrix)
     if not validation.ok:
         raise InputError([
             f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
             for ind_id in validation.fatal_ids
         ])
+    return validation, normalize_matrix(matrix)
 
-    warnings: list[str] = []
-    norm = normalize_matrix(matrix)
+
+def _pca_stage(norm: NormalizedMatrix, config: RunConfig):
+    """Correlate, eigendecompose, select components, load: (corr, spectrum, selection, loadings)."""
     corr = correlation_matrix(norm, basis=config.pca_basis)
     spectrum = eigendecompose(corr)
     selection = select_components(spectrum, config.eigen_threshold, config.variance_target)
+    return corr, spectrum, selection, loading_matrix(spectrum, selection, config.loading_convention)
+
+
+def _score_stage(norm: NormalizedMatrix, loadings: np.ndarray, eigenvalues, config: RunConfig):
+    """Weight by the selected eigenvalues, score, cut, rank: (weights, scores, thresholds, ranked)."""
+    weights = compute_weights(loadings, eigenvalues)
+    scores = composite_index(norm, weights)
+    thresholds = thresholds_from_scores(
+        scores, config.low_percentile, config.high_percentile, config.percentile_method)
+    return weights, scores, thresholds, state_scores(scores, thresholds)
+
+
+def _write_normalize_stage(out_dir: Path, norm: NormalizedMatrix) -> None:
+    write_observations(norm, out_dir / "normalized.csv")
+
+
+def _write_pca_stage(out_dir: Path, registry: IndicatorRegistry, corr: np.ndarray,
+                     spectrum: Spectrum, selection: ComponentSelection,
+                     loadings: np.ndarray) -> None:
+    write_correlation(out_dir / "correlation.csv", corr, registry.ids)
+    write_spectrum(out_dir / "spectrum.csv", spectrum, selection)
+    write_loadings(out_dir / "loadings.csv", loadings, registry.ids)
+
+
+def _write_score_stage(out_dir: Path, registry: IndicatorRegistry, weights: np.ndarray,
+                       ranked: list[StateScore]) -> None:
+    write_weights(out_dir / "weights.csv", weights, registry.ids)
+    write_scores(out_dir / "scores.csv", ranked)
+
+
+def run(config: RunConfig) -> dict:
+    """Execute the full pipeline, write all stage dumps plus report.json, return the report."""
+    started = time.monotonic()
+    started_at = datetime.now(timezone.utc).isoformat()
+    out_dir, registry = _prepare(config)
+    matrix = load_observations(config.data, registry)
+    gini: GiniTable = load_gini(config.gini) if config.gini else {}
+
+    warnings: list[str] = []
+    validation, norm = _normalize_stage(matrix)
+    corr, spectrum, selection, loadings = _pca_stage(norm, config)
     if selection.extended:
         warnings.append(
             f"variance target {config.variance_target} not met by the "
             f"{selection.threshold_count} components above eigenvalue "
             f"{config.eigen_threshold}; extended to {len(selection.selected)} components")
-    loadings = loading_matrix(spectrum, selection, config.loading_convention)
-    selected_eigenvalues = [float(spectrum.eigenvalues[j]) for j in selection.selected]
-    weights = compute_weights(loadings, selected_eigenvalues)
-    scores = composite_index(norm, weights)
-    thresholds = thresholds_from_scores(
-        scores, config.low_percentile, config.high_percentile, config.percentile_method)
-    ranked = state_scores(scores, thresholds)
+    weights, scores, thresholds, ranked = _score_stage(
+        norm, loadings, spectrum.eigenvalues[selection.selected], config)
 
     for entry in ranked:
         for name, cut in (("low", thresholds.t_low), ("high", thresholds.t_high)):
@@ -280,12 +324,9 @@ def run(config: RunConfig) -> dict:
         if total <= 0.0:
             warnings.append(f"pillar {pillar!r} has zero total weight; no sub-scores emitted")
 
-    write_observations(norm, out_dir / "normalized.csv")
-    write_correlation(out_dir / "correlation.csv", corr, registry.ids)
-    write_spectrum(out_dir / "spectrum.csv", spectrum, selection)
-    write_loadings(out_dir / "loadings.csv", loadings, registry.ids)
-    write_weights(out_dir / "weights.csv", weights, registry.ids)
-    write_scores(out_dir / "scores.csv", ranked)
+    _write_normalize_stage(out_dir, norm)
+    _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
+    _write_score_stage(out_dir, registry, weights, ranked)
     scenarios = scenario_dict(table, config.gini_threshold)
     with open(out_dir / "scenarios.json", "w", encoding="utf-8") as fh:
         json.dump(scenarios, fh, indent=2, ensure_ascii=False)
@@ -359,15 +400,17 @@ def _print_errors(label: str, exc: Exception) -> None:
         print(_style(f"{label}: {message}", "31"), file=sys.stderr)
 
 
+def _config(args) -> RunConfig:
+    """The one RunConfig of any command: its flags, RunConfig's defaults for the rest."""
+    given = vars(args)
+    return RunConfig(**{
+        f.name: type(f.default)(given[f.name]) if isinstance(f.default, Enum) else given[f.name]
+        for f in fields(RunConfig) if f.name in given
+    })
+
+
 def cmd_run(args) -> int:
-    config = RunConfig(
-        data=args.data, meta=args.meta, gini=args.gini, out_dir=args.out,
-        eigen_threshold=args.eigen_threshold, variance_target=args.variance_target,
-        percentile_method=PercentileMethod(args.percentile_method),
-        low_percentile=args.low_percentile, high_percentile=args.high_percentile,
-        gini_threshold=args.gini_threshold, pca_basis=Basis(args.pca_basis),
-        loading_convention=LoadingConvention(args.loading_convention),
-    )
+    config = _config(args)
     report = run(config)
     n_scores = len(report["scores"])
     sel = report["selection"]
@@ -378,89 +421,68 @@ def cmd_run(args) -> int:
           f"high {report['thresholds']['t_high']:.6f}")
     for warning in report["warnings"]:
         print(_style(f"warning: {warning}", "33"), file=sys.stderr)
-    print(f"wrote {Path(args.out) / 'report.json'}")
+    print(f"wrote {Path(config.out_dir) / 'report.json'}")
     return 0
 
 
 def cmd_normalize(args) -> int:
-    registry = load_indicator_metadata(args.meta)
-    matrix = load_observations(args.data, registry)
-    validation = validate_matrix(matrix)
-    if not validation.ok:
-        raise InputError([
-            f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
-            for ind_id in validation.fatal_ids
-        ])
-    norm = normalize_matrix(matrix)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_observations(norm, out_dir / "normalized.csv")
+    config = _config(args)
+    out_dir, registry = _prepare(config)
+    _, norm = _normalize_stage(load_observations(config.data, registry))
+    _write_normalize_stage(out_dir, norm)
     print(f"wrote {out_dir / 'normalized.csv'} "
           f"({norm.n_states} states x {norm.n_indicators} indicators)")
     return 0
 
 
 def cmd_pca(args) -> int:
-    registry = load_indicator_metadata(args.meta)
-    norm = load_normalized(args.normalized, registry)
-    corr = correlation_matrix(norm, basis=Basis(args.pca_basis))
-    spectrum = eigendecompose(corr)
-    selection = select_components(spectrum, args.eigen_threshold, args.variance_target)
-    loadings = loading_matrix(spectrum, selection, LoadingConvention(args.loading_convention))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_correlation(out_dir / "correlation.csv", corr, registry.ids)
-    write_spectrum(out_dir / "spectrum.csv", spectrum, selection)
-    write_loadings(out_dir / "loadings.csv", loadings, registry.ids)
+    config = _config(args)
+    out_dir, registry = _prepare(config)
+    norm = load_normalized(config.data, registry)
+    corr, spectrum, selection, loadings = _pca_stage(norm, config)
+    _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     print(f"selected {len(selection.selected)} of {len(spectrum.eigenvalues)} components "
           f"({selection.explained_variance_ratio:.1%} of variance)")
     return 0
 
 
 def cmd_score(args) -> int:
-    registry = load_indicator_metadata(args.meta)
-    norm = load_normalized(args.normalized, registry)
+    config = _config(args)
+    out_dir, registry = _prepare(config)
+    norm = load_normalized(config.data, registry)
     loadings = read_loadings(Path(args.loadings), registry)
-    eigenvalues, selected = read_spectrum(Path(args.spectrum))
-    if len(selected) != loadings.shape[1]:
-        raise InputError(
-            f"{loadings.shape[1]} loading columns but {len(selected)} selected components")
-    weights = compute_weights(loadings, [eigenvalues[j] for j in selected])
-    scores = composite_index(norm, weights)
-    thresholds = thresholds_from_scores(
-        scores, args.low_percentile, args.high_percentile,
-        PercentileMethod(args.percentile_method))
-    ranked = state_scores(scores, thresholds)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_weights(out_dir / "weights.csv", weights, registry.ids)
-    write_scores(out_dir / "scores.csv", ranked)
+    eigenvalues = read_spectrum(Path(args.spectrum), registry)
+    weights, _, thresholds, ranked = _score_stage(norm, loadings, eigenvalues, config)
+    _write_score_stage(out_dir, registry, weights, ranked)
     print(f"scored {len(ranked)} states; thresholds low {thresholds.t_low:.6f} / "
           f"high {thresholds.t_high:.6f}")
     return 0
 
 
+def _flag(parser, name: str, help: str) -> None:
+    """Add --<name> for the RunConfig field of that name, taking its default from RunConfig."""
+    default = getattr(RunConfig, name)
+    if isinstance(default, Enum):
+        kwargs = {"choices": [m.value for m in type(default)], "default": default.value}
+    else:
+        kwargs = {"type": float, "default": default}
+    parser.add_argument("--" + name.replace("_", "-"),
+                        help=f"{help} (default %(default)s)", **kwargs)
+
+
 def _add_pca_flags(parser) -> None:
-    parser.add_argument("--pca-basis", choices=[b.value for b in Basis],
-                        default=Basis.CORRELATION.value,
-                        help="matrix handed to the eigensolver (default correlation)")
-    parser.add_argument("--eigen-threshold", type=float, default=1.0,
-                        help="keep components with eigenvalue above this (default 1.0)")
-    parser.add_argument("--variance-target", type=float, default=0.85,
-                        help="minimum explained-variance ratio; extends the selection if unmet")
-    parser.add_argument("--loading-convention",
-                        choices=[c.value for c in LoadingConvention],
-                        default=LoadingConvention.UNIT_EIGENVECTOR.value,
-                        help="unit eigenvector entries or sqrt-eigenvalue scaled columns")
+    _flag(parser, "pca_basis", "matrix handed to the eigensolver")
+    _flag(parser, "eigen_threshold", "keep components with eigenvalue above this")
+    _flag(parser, "variance_target",
+          "minimum explained-variance ratio; extends the selection if unmet")
+    _flag(parser, "loading_convention",
+          "unit eigenvector entries or sqrt-eigenvalue scaled columns")
 
 
 def _add_score_flags(parser) -> None:
-    parser.add_argument("--percentile-method",
-                        choices=[m.value for m in PercentileMethod],
-                        default=PercentileMethod.EXCLUSIVE.value,
-                        help="sample percentile estimator for the category cutoffs")
-    parser.add_argument("--low-percentile", type=float, default=25.0)
-    parser.add_argument("--high-percentile", type=float, default=75.0)
+    _flag(parser, "percentile_method", "sample percentile estimator for the category cutoffs")
+    _flag(parser, "low_percentile", "scores below this percentile are Low")
+    _flag(parser, "high_percentile", "scores at or above this percentile are High")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,32 +497,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data", required=True, help="observations.csv")
     p_run.add_argument("--meta", required=True, help="indicators.csv")
     p_run.add_argument("--gini", default=None, help="gini.csv (optional)")
-    p_run.add_argument("--out", required=True, help="output directory")
+    p_run.add_argument("--out", dest="out_dir", required=True, help="output directory")
     _add_pca_flags(p_run)
     _add_score_flags(p_run)
-    p_run.add_argument("--gini-threshold", type=float, default=0.30,
-                       help="gini at or above this counts as high inequality (default 0.30)")
+    _flag(p_run, "gini_threshold", "gini at or above this counts as high inequality")
     p_run.set_defaults(func=cmd_run)
 
     p_norm = sub.add_parser("normalize", help="validate and min-max rescale observations")
     p_norm.add_argument("--data", required=True)
     p_norm.add_argument("--meta", required=True)
-    p_norm.add_argument("--out", required=True)
+    p_norm.add_argument("--out", dest="out_dir", required=True)
     p_norm.set_defaults(func=cmd_normalize)
 
     p_pca = sub.add_parser("pca", help="correlation, eigendecomposition, component selection")
-    p_pca.add_argument("--normalized", required=True, help="normalized.csv from the normalize stage")
+    p_pca.add_argument("--normalized", dest="data", required=True,
+                       help="normalized.csv from the normalize stage")
     p_pca.add_argument("--meta", required=True)
-    p_pca.add_argument("--out", required=True)
+    p_pca.add_argument("--out", dest="out_dir", required=True)
     _add_pca_flags(p_pca)
     p_pca.set_defaults(func=cmd_pca)
 
     p_score = sub.add_parser("score", help="weights, composite index, ranks, categories")
-    p_score.add_argument("--normalized", required=True)
+    p_score.add_argument("--normalized", dest="data", required=True)
     p_score.add_argument("--meta", required=True)
     p_score.add_argument("--loadings", required=True, help="loadings.csv from the pca stage")
     p_score.add_argument("--spectrum", required=True, help="spectrum.csv from the pca stage")
-    p_score.add_argument("--out", required=True)
+    p_score.add_argument("--out", dest="out_dir", required=True)
     _add_score_flags(p_score)
     p_score.set_defaults(func=cmd_score)
 

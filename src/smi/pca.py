@@ -66,12 +66,16 @@ class ComponentSelection:
     extended: bool
 
 
-def _ordered_sum(values) -> float:
-    # fixed left-to-right accumulation keeps results platform-reproducible
+def _ordered_sum(terms):
+    """Add terms left to right from 0.0: scalars, or whole arrays elementwise (in place).
+
+    The fixed order keeps every reduction on the result path reproducible;
+    scalar terms give a Python float, array terms an array.
+    """
     total = 0.0
-    for v in values:
-        total += float(v)
-    return total
+    for term in terms:
+        total += term
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatrix:
@@ -89,24 +93,15 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
         names = [f"col{j}" for j in range(values.shape[1] if values.ndim == 2 else 0)]
     if values.ndim != 2:
         raise InputError("correlation input must be a 2-D matrix")
-    n, p = values.shape
+    n = values.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 rows to estimate correlations, got {n}")
 
-    # fixed-order accumulation over the rows, one whole-vector step per
-    # row: the same additions in the same order as a scalar loop per column
-    total = np.zeros(p, dtype=np.float64)
-    for row in values:
-        total += row
-    means = total / n
+    means = _ordered_sum(values) / n
     dev = values - means
-
     # products commute exactly, so each row's outer product, and with it
     # the accumulated covariance, is bitwise symmetric
-    acc = np.zeros((p, p), dtype=np.float64)
-    for row in dev:
-        acc += np.multiply.outer(row, row)
-    cov = acc / (n - 1)
+    cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
 
     if basis is Basis.COVARIANCE:
         return cov

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .normalize import NormalizedMatrix
+from .pca import _ordered_sum
 
 # eigenvalues this far below zero are round-off from a PSD source and clamp to 0
 PSD_SLACK = 1e-10
@@ -64,9 +65,10 @@ WeightVector = np.ndarray
 def compute_weights(loadings, eigenvalues) -> WeightVector:
     """Weight each indicator by the eigenvalue-scaled sum of its absolute loadings.
 
-    W_i = sum_j |L_ij| * E_j over the selected components. Accumulation is
-    an explicit fixed-order loop so results are bit-reproducible and
-    trivially sign-invariant under eigenvector flips.
+    W_i = sum_j |L_ij| * E_j over the selected components, accumulated one
+    component column at a time in component order, so results are
+    bit-reproducible and trivially sign-invariant under eigenvector flips.
+    Eigenvalues within round-off below zero count as 0.
     """
     l_matrix = np.asarray(loadings, dtype=np.float64)
     if l_matrix.ndim == 1:
@@ -78,38 +80,28 @@ def compute_weights(loadings, eigenvalues) -> WeightVector:
     for e in e_values:
         if e < -PSD_SLACK:
             raise NumericalError(f"eigenvalue {e} is negative beyond round-off")
-    e_values = [max(e, 0.0) for e in e_values]
+    if not e_values:
+        return np.zeros(l_matrix.shape[0])
+    l_abs = np.abs(l_matrix)
+    return _ordered_sum(l_abs[:, j] * max(e, 0.0) for j, e in enumerate(e_values))
 
-    p = l_matrix.shape[0]
-    weights = np.empty(p, dtype=np.float64)
-    for i in range(p):
-        total = 0.0
-        for j, e in enumerate(e_values):
-            total += abs(l_matrix[i, j]) * e
-        weights[i] = total
-    return weights
+
+def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise sum_j x_ij w_j / sum_j w_j, both sums accumulated in column order."""
+    total_weight = _ordered_sum(weights)
+    if total_weight <= 0.0:
+        raise NumericalError("total weight is zero, the index is undefined")
+    return _ordered_sum(values[:, j] * w for j, w in enumerate(weights)) / total_weight
 
 
 def composite_index(norm: NormalizedMatrix, weights: WeightVector) -> dict[str, float]:
     """Weighted mean of each state's rescaled indicators, in matrix row order."""
-    w = [float(v) for v in np.asarray(weights, dtype=np.float64)]
+    w = np.asarray(weights, dtype=np.float64)
     if len(w) != norm.n_indicators:
         raise InputError(f"{len(w)} weights for {norm.n_indicators} indicators")
-    if any(v < 0.0 for v in w):
+    if np.any(w < 0.0):
         raise InputError("weights must be non-negative")
-    total_weight = 0.0
-    for v in w:
-        total_weight += v
-    if total_weight <= 0.0:
-        raise NumericalError("total weight is zero, the index is undefined")
-
-    scores: dict[str, float] = {}
-    for state, row in zip(norm.states, norm.values):
-        acc = 0.0
-        for x, v in zip(row, w):
-            acc += float(x) * v
-        scores[state] = acc / total_weight
-    return scores
+    return dict(zip(norm.states, _weighted_mean(norm.values, w).tolist()))
 
 
 def rank_states(scores: dict[str, float]) -> list[tuple[str, int]]:

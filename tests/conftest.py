@@ -1,6 +1,7 @@
 """Shared fixtures: paths to the shipped data files and parsed forms of them."""
 
 import csv
+import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,12 @@ import pytest
 from smi.dataset import load_indicator_metadata
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC_DIR = DATA_DIR.parent / "src"
+
+# the CLI tests run `python -m smi` in subprocesses; they must import the
+# same source tree as the in-process tests (pyproject's pytest pythonpath)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -158,3 +158,46 @@ def test_pillar_decomposition_matches_index():
             e.value * totals[e.pillar] / total_weight
             for e in entries if e.state == state)
         assert mix == pytest.approx(scores[state], abs=1e-12)
+
+
+def _reference_pillars(norm, weights, registry):
+    # the scalar loops pillar_weight_totals and pillar_scores replaced
+    totals = {}
+    columns = {}
+    for j, spec in enumerate(registry):
+        totals[spec.pillar] = totals.get(spec.pillar, 0.0) + float(weights[j])
+        columns.setdefault(spec.pillar, []).append(j)
+    values = {}
+    for pillar, cols in columns.items():
+        if totals[pillar] <= 0.0:
+            continue
+        for state, row in zip(norm.states, norm.values):
+            acc = 0.0
+            for j in cols:
+                acc += float(row[j]) * float(weights[j])
+            values[(state, pillar)] = acc / totals[pillar]
+    return totals, values
+
+
+def test_pillar_scores_are_byte_identical_to_scalar_loops():
+    rng = np.random.default_rng(13)
+    pillars = ["Health", "Education Access", "Fair Wages", "Work Opportunities"]
+    for trial in range(40):
+        n = 2 if trial % 7 == 0 else int(rng.integers(2, 40))
+        p = 1 if trial % 5 == 0 else int(rng.integers(1, 25))
+        specs = tuple(
+            IndicatorSpec(id=f"x{j}", name=f"X{j}", pillar=pillars[int(rng.integers(0, 4))],
+                          direction=Direction.POSITIVE)
+            for j in range(p))
+        registry = IndicatorRegistry(specs=specs)
+        values = rng.uniform(0, 1, (n, p))
+        norm = NormalizedMatrix(states=tuple(f"s{i}" for i in range(n)), values=values,
+                                registry=registry)
+        weights = rng.uniform(0, 3, p)
+        if trial % 3 == 0:
+            weights[[j for j, s in enumerate(specs) if s.pillar == specs[0].pillar]] = 0.0
+        totals, expected = _reference_pillars(norm, weights, registry)
+        assert pillar_weight_totals(weights, registry) == totals
+        got = {(e.state, e.pillar): e.value for e in pillar_scores(norm, weights, registry)}
+        assert got == expected
+        assert list(got) == list(expected)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from smi.cli import RunConfig, _style, run
+from smi.cli import RunConfig, _style, main, run
 from smi.errors import InputError
 from smi.scoring import PercentileMethod
 
@@ -227,3 +229,90 @@ def test_boundary_warning_fires(tmp_path):
     config = RunConfig(data=str(obs), meta=str(meta), out_dir=str(tmp_path / "out"))
     report = run(config)
     assert any("threshold" in w and "sensitive" in w for w in report["warnings"])
+
+
+def _main(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _fixture_args(data_dir, out):
+    return ["--data", str(data_dir / "observations_synthetic.csv"),
+            "--meta", str(data_dir / "indicators.csv"), "--out", str(out)]
+
+
+def _chain(data_dir, out, pca_flags=(), score_flags=()) -> list[int]:
+    meta = str(data_dir / "indicators.csv")
+    norm = str(out / "normalized.csv")
+    return [
+        _main("normalize", *_fixture_args(data_dir, out))[0],
+        _main("pca", "--normalized", norm, "--meta", meta, "--out", str(out), *pca_flags)[0],
+        _main("score", "--normalized", norm, "--meta", meta,
+              "--loadings", str(out / "loadings.csv"), "--spectrum", str(out / "spectrum.csv"),
+              "--out", str(out), *score_flags)[0],
+    ]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("pca", ["--variance-target", "1.5"], "variance target must lie in (0, 1]"),
+    ("pca", ["--eigen-threshold", "-1"], "eigen threshold must be non-negative"),
+    ("score", ["--low-percentile", "80"], "percentiles must satisfy"),
+    ("score", ["--high-percentile", "100"], "percentiles must satisfy"),
+])
+def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags, message):
+    meta = str(data_dir / "indicators.csv")
+    stage_args = {
+        "pca": ["--normalized", "n.csv", "--meta", meta],
+        "score": ["--normalized", "n.csv", "--meta", meta, "--loadings", "l.csv",
+                  "--spectrum", "s.csv"],
+    }[command]
+    code, err = _main(command, *stage_args, "--out", str(tmp_path / "stage"), *flags)
+    run_code, run_err = _main("run", *_fixture_args(data_dir, tmp_path / "run"), *flags)
+    assert (code, run_code) == (1, 1)
+    assert message in err
+    assert err == run_err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("swap_selection", "leading prefix"),
+    ("drop_last_row", "31 indicators"),
+])
+def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
+    stages = tmp_path / "stages"
+    assert _chain(data_dir, stages)[:2] == [0, 0]
+    spectrum = stages / "spectrum.csv"
+    with open(spectrum, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if edit == "swap_selection":
+        # PC1 out, PC31 in: the selected count still matches the loading columns
+        assert rows[1][3] == "1" and rows[31][3] == "0"
+        rows[1][3], rows[31][3] = "0", "1"
+    else:
+        rows.pop()
+    with open(spectrum, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "out"
+    code, err = _main("score", "--normalized", str(stages / "normalized.csv"),
+                      "--meta", str(data_dir / "indicators.csv"),
+                      "--loadings", str(stages / "loadings.csv"), "--spectrum", str(spectrum),
+                      "--out", str(out))
+    assert code == 1
+    assert str(spectrum) in err and message in err
+    assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("basis, convention, method", list(itertools.product(
+    ["correlation", "covariance"], ["unit", "sqrt_eigenvalue"],
+    ["exclusive", "inclusive", "nearest_rank"])))
+def test_chained_stages_match_single_run(data_dir, tmp_path, basis, convention, method):
+    pca_flags = ["--pca-basis", basis, "--loading-convention", convention]
+    score_flags = ["--percentile-method", method]
+    single = tmp_path / "single"
+    chained = tmp_path / "chained"
+    assert _main("run", *_fixture_args(data_dir, single), *pca_flags, *score_flags)[0] == 0
+    assert _chain(data_dir, chained, pca_flags, score_flags) == [0, 0, 0]
+    for name in ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv",
+                 "weights.csv", "scores.csv"):
+        assert (chained / name).read_bytes() == (single / name).read_bytes(), name

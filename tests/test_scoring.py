@@ -220,3 +220,57 @@ def test_state_scores_integration():
     for e in entries:
         buckets[e.category] += 1
     assert sum(buckets.values()) == 5
+
+
+def _reference_weights(loadings, eigenvalues):
+    # the scalar double loop compute_weights replaced
+    e_values = [max(float(e), 0.0) for e in eigenvalues]
+    weights = np.empty(loadings.shape[0])
+    for i in range(loadings.shape[0]):
+        total = 0.0
+        for j, e in enumerate(e_values):
+            total += abs(loadings[i, j]) * e
+        weights[i] = total
+    return weights
+
+
+def _reference_composite(norm, weights):
+    # the scalar double loop composite_index replaced
+    w = [float(v) for v in weights]
+    total_weight = 0.0
+    for v in w:
+        total_weight += v
+    scores = {}
+    for state, row in zip(norm.states, norm.values):
+        acc = 0.0
+        for x, v in zip(row, w):
+            acc += float(x) * v
+        scores[state] = acc / total_weight
+    return scores
+
+
+def test_weights_and_index_are_byte_identical_to_scalar_loops():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = 2 if trial % 7 == 0 else int(rng.integers(2, 40))
+        p = 1 if trial % 5 == 0 else int(rng.integers(1, 25))
+        k = int(rng.integers(1, p + 1))
+        loadings = rng.normal(0, 1, (p, k))
+        loadings[rng.random((p, k)) < 0.1] = 0.0
+        eigenvalues = rng.uniform(0, 5, k)
+        if trial % 3 == 0:
+            eigenvalues[-1] = -1e-12 if trial % 2 else -0.0
+        weights = compute_weights(loadings, eigenvalues)
+        assert np.array_equal(weights, _reference_weights(loadings, eigenvalues))
+
+        values = rng.uniform(0, 1, (n, p))
+        if trial % 4 == 0:
+            values = np.round(values, 1)
+        if trial % 6 == 0:
+            weights[rng.random(p) < 0.5] = 0.0
+        weights[0] = max(weights[0], 1.5)
+        norm = _norm_matrix(values)
+        scores = composite_index(norm, weights)
+        assert scores == _reference_composite(norm, weights)
+        assert list(scores) == list(norm.states)
+        assert all(type(v) is float for v in scores.values())
