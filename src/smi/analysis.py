@@ -9,19 +9,15 @@ indicators, so the pillar scores decompose the index exactly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dataset import GiniTable, IndicatorRegistry
+from .dataset import DataMatrix, GiniTable, IndicatorRegistry
 from .errors import InputError
-from .normalize import NormalizedMatrix
 from .pca import _ordered_sum
 from .scoring import CATEGORY_ORDER, Category, WeightVector, _weighted_mean
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_GINI_THRESHOLD = 0.30
 
@@ -133,22 +129,22 @@ def pillar_weight_totals(weights: WeightVector, registry: IndicatorRegistry) -> 
             for pillar, columns in _pillar_columns(registry).items()}
 
 
-def pillar_scores(norm: NormalizedMatrix, weights: WeightVector,
+def pillar_scores(norm: DataMatrix, weights: WeightVector,
                   registry: IndicatorRegistry) -> list[PillarScore]:
     """Weighted mean of each state's rescaled values within each pillar.
 
     The composite index's weighted mean restricted to the pillar's
     columns, so the pillar scores are an exact weight-proportional
     decomposition of the composite index. A pillar whose indicators all
-    carry zero weight is skipped with a warning. The best performer per
-    pillar (highest value, ties to the first state name) is flagged.
+    carry zero weight is skipped; callers find it in pillar_weight_totals
+    and warn. The best performer per pillar (highest value, ties to the
+    first state name) is flagged.
     """
     w = np.asarray(weights, dtype=np.float64)
     totals = pillar_weight_totals(w, registry)
     out: list[PillarScore] = []
     for pillar, columns in _pillar_columns(registry).items():
         if totals[pillar] <= 0.0:
-            logger.warning("pillar %r has zero total weight, skipped", pillar)
             continue
         means = _weighted_mean(norm.values[:, columns], w[columns])
         values = dict(zip(norm.states, means.tolist()))

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -43,15 +45,15 @@ from .dataset import (
     DataMatrix,
     GiniTable,
     IndicatorRegistry,
-    ValidationReport,
+    _read_rows,
     load_gini,
     load_indicator_metadata,
     load_observations,
     validate_matrix,
     write_observations,
 )
-from .errors import DegenerateColumnError, InputError, NumericalError
-from .normalize import NormalizedMatrix, load_normalized, normalize_matrix
+from .errors import InputError, NumericalError
+from .normalize import load_normalized, normalize_matrix
 from .pca import (
     Basis,
     ComponentSelection,
@@ -101,7 +103,9 @@ class RunConfig:
             problems.append(
                 "percentiles must satisfy 0 < low < high < 100, got "
                 f"low={self.low_percentile} high={self.high_percentile}")
-        if self.eigen_threshold < 0.0:
+        if not math.isfinite(self.eigen_threshold):
+            problems.append(f"eigen threshold must be finite, got {self.eigen_threshold}")
+        elif self.eigen_threshold < 0.0:
             problems.append(f"eigen threshold must be non-negative, got {self.eigen_threshold}")
         if not (0.0 < self.variance_target <= 1.0):
             problems.append(f"variance target must lie in (0, 1], got {self.variance_target}")
@@ -150,9 +154,8 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     The file must hold one eigenvalue per registry indicator and select a
     non-empty leading prefix PC1..PCk.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["component", "eigenvalue"]:
+    rows = _read_rows(path)
+    if rows[0][:2] != ["component", "eigenvalue"]:
         raise InputError(f"{path}: not a spectrum.csv file")
     eigenvalues = []
     selected = []
@@ -182,9 +185,8 @@ def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
 
 
 def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "indicator_id":
+    rows = _read_rows(path)
+    if not rows[0] or rows[0][0] != "indicator_id":
         raise InputError(f"{path}: not a loadings.csv file")
     body = [row for row in rows[1:] if row]
     if tuple(row[0] for row in body) != registry.ids:
@@ -219,16 +221,6 @@ def scenario_dict(table, gini_threshold: float) -> dict:
     }
 
 
-def _validation_dict(report: ValidationReport) -> dict:
-    return {
-        "columns": [
-            {"indicator_id": c.indicator_id, "min": c.min, "max": c.max, "constant": c.constant}
-            for c in report.columns
-        ],
-        "fatal": report.fatal_ids,
-    }
-
-
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
     """Check the config, make the output directory, load the indicator registry."""
     config.validate()
@@ -237,18 +229,12 @@ def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
     return out_dir, load_indicator_metadata(config.meta)
 
 
-def _normalize_stage(matrix: DataMatrix) -> tuple[ValidationReport, NormalizedMatrix]:
-    """Validate the raw observations, then min-max rescale them; constant columns are fatal."""
-    validation = validate_matrix(matrix)
-    if not validation.ok:
-        raise InputError([
-            f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
-            for ind_id in validation.fatal_ids
-        ])
-    return validation, normalize_matrix(matrix)
+def _normalize_stage(matrix: DataMatrix) -> tuple[dict[str, tuple[float, float]], DataMatrix]:
+    """Validate the raw observations, then min-max rescale them: (column ranges, rescaled)."""
+    return validate_matrix(matrix), normalize_matrix(matrix)
 
 
-def _pca_stage(norm: NormalizedMatrix, config: RunConfig):
+def _pca_stage(norm: DataMatrix, config: RunConfig):
     """Correlate, eigendecompose, select components, load: (corr, spectrum, selection, loadings)."""
     corr = correlation_matrix(norm, basis=config.pca_basis)
     spectrum = eigendecompose(corr)
@@ -256,7 +242,7 @@ def _pca_stage(norm: NormalizedMatrix, config: RunConfig):
     return corr, spectrum, selection, loading_matrix(spectrum, selection, config.loading_convention)
 
 
-def _score_stage(norm: NormalizedMatrix, loadings: np.ndarray, eigenvalues, config: RunConfig):
+def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: RunConfig):
     """Weight by the selected eigenvalues, score, cut, rank: (weights, scores, thresholds, ranked)."""
     weights = compute_weights(loadings, eigenvalues)
     scores = composite_index(norm, weights)
@@ -265,7 +251,7 @@ def _score_stage(norm: NormalizedMatrix, loadings: np.ndarray, eigenvalues, conf
     return weights, scores, thresholds, state_scores(scores, thresholds)
 
 
-def _write_normalize_stage(out_dir: Path, norm: NormalizedMatrix) -> None:
+def _write_normalize_stage(out_dir: Path, norm: DataMatrix) -> None:
     write_observations(norm, out_dir / "normalized.csv")
 
 
@@ -292,7 +278,7 @@ def run(config: RunConfig) -> dict:
     gini: GiniTable = load_gini(config.gini) if config.gini else {}
 
     warnings: list[str] = []
-    validation, norm = _normalize_stage(matrix)
+    ranges, norm = _normalize_stage(matrix)
     corr, spectrum, selection, loadings = _pca_stage(norm, config)
     if selection.extended:
         warnings.append(
@@ -339,7 +325,14 @@ def run(config: RunConfig) -> dict:
     total_variance = spectrum.total_variance
     report = {
         "config": config.as_dict(),
-        "validation": _validation_dict(validation),
+        # a constant column stops the run in validate_matrix, so none is left to flag
+        "validation": {
+            "columns": [
+                {"indicator_id": ind_id, "min": lo, "max": hi, "constant": False}
+                for ind_id, (lo, hi) in ranges.items()
+            ],
+            "fatal": [],
+        },
         "spectrum": {
             "components": [
                 {
@@ -485,7 +478,9 @@ def _add_score_flags(parser) -> None:
     _flag(parser, "high_percentile", "scores at or above this percentile are High")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The smi argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="smi",
         description="Composite social-mobility index: rescale indicators, weight them by "
@@ -501,13 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pca_flags(p_run)
     _add_score_flags(p_run)
     _flag(p_run, "gini_threshold", "gini at or above this counts as high inequality")
-    p_run.set_defaults(func=cmd_run)
 
     p_norm = sub.add_parser("normalize", help="validate and min-max rescale observations")
     p_norm.add_argument("--data", required=True)
     p_norm.add_argument("--meta", required=True)
     p_norm.add_argument("--out", dest="out_dir", required=True)
-    p_norm.set_defaults(func=cmd_normalize)
 
     p_pca = sub.add_parser("pca", help="correlation, eigendecomposition, component selection")
     p_pca.add_argument("--normalized", dest="data", required=True,
@@ -515,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.add_argument("--meta", required=True)
     p_pca.add_argument("--out", dest="out_dir", required=True)
     _add_pca_flags(p_pca)
-    p_pca.set_defaults(func=cmd_pca)
 
     p_score = sub.add_parser("score", help="weights, composite index, ranks, categories")
     p_score.add_argument("--normalized", dest="data", required=True)
@@ -524,16 +516,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--spectrum", required=True, help="spectrum.csv from the pca stage")
     p_score.add_argument("--out", dest="out_dir", required=True)
     _add_score_flags(p_score)
-    p_score.set_defaults(func=cmd_score)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on each call, not stored in the shared parser, so that a
+    # rebinding of the module's functions (as a tracer does) takes effect
+    command = {"run": cmd_run, "normalize": cmd_normalize, "pca": cmd_pca,
+               "score": cmd_score}[args.command]
     try:
-        return args.func(args)
-    except (InputError, DegenerateColumnError) as exc:
+        return command(args)
+    except InputError as exc:
         _print_errors("error", exc)
         return 1
     except NumericalError as exc:

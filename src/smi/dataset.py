@@ -1,17 +1,19 @@
-"""Domain model and input file handling.
+"""The input layer: domain model, CSV reading and the input rules.
 
 Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
-table of per-state Gini coefficients. Loaders collect every problem they
-find and raise a single InputError listing all of them, with 1-based row
-numbers (the header is row 1).
+table of per-state Gini coefficients. Every CSV the program reads is
+opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
+empty file into an InputError naming it. Loaders collect every problem
+they find and raise a single InputError listing all of them, with
+1-based row numbers (the header is row 1).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -34,6 +36,9 @@ PILLARS: tuple[str, ...] = (
 
 INDICATORS_HEADER = ["indicator_id", "name", "pillar", "direction"]
 GINI_HEADER = ["state", "gini"]
+
+# fewest states that give a sample correlation with a non-degenerate spread
+MIN_STATES = 3
 
 
 class Direction(Enum):
@@ -100,7 +105,7 @@ class IndicatorRegistry:
 
 @dataclass
 class DataMatrix:
-    """State-by-indicator observations, rows ordered as loaded."""
+    """State-by-indicator values, raw or rescaled, rows ordered as loaded."""
 
     states: tuple[str, ...]
     values: np.ndarray
@@ -115,10 +120,6 @@ class DataMatrix:
             raise InputError(f"{len(self.states)} state labels for {n} rows")
         if p != len(self.registry):
             raise InputError(f"{p} columns for a registry of {len(self.registry)} indicators")
-        if len(self.registry) < 2:
-            raise InputError("at least 2 indicators are required")
-        if n < 2:
-            raise InputError("at least 2 states are required")
         if not np.all(np.isfinite(self.values)):
             raise InputError("observation values must all be finite")
 
@@ -134,66 +135,72 @@ class DataMatrix:
 # state name -> Gini coefficient in [0, 1]
 GiniTable = dict[str, float]
 
-
-@dataclass(frozen=True)
-class ColumnCheck:
-    """Range summary for one indicator column."""
-
-    indicator_id: str
-    min: float
-    max: float
-    constant: bool
-
-
-@dataclass
-class ValidationReport:
-    """Per-indicator range checks; constant columns are fatal for min-max scaling."""
-
-    columns: list[ColumnCheck] = field(default_factory=list)
-
-    @property
-    def fatal_ids(self) -> list[str]:
-        return [c.indicator_id for c in self.columns if c.constant]
-
-    @property
-    def ok(self) -> bool:
-        return not self.fatal_ids
+# what an empty, and what a repeated, first field is called in messages
+_INDICATOR_KEY = ("indicator id", "indicator id")
+_STATE_KEY = ("state name", "state")
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
+    """Every row of a CSV file, header first; the file must exist, be UTF-8 text and not be empty."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return [row for row in csv.reader(fh)]
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise InputError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: not a CSV file ({exc})") from None
+    if not rows:
+        raise InputError(f"{path}: file is empty")
+    return rows
+
+
+def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problems: list[str]):
+    """Yield (lineno, name, row) for each body row that passes the rules every loader shares.
+
+    Blank rows are skipped. A row with other than `width` fields, an empty
+    first field, or a first field seen on an earlier row is reported in
+    problems and skipped; name is the stripped first field.
+    """
+    empty, repeated = key
+    first_row: dict[str, int] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            problems.append(f"row {lineno}: expected {width} fields, got {len(row)}")
+            continue
+        name = row[0].strip()
+        if not name:
+            problems.append(f"row {lineno}: empty {empty}")
+            continue
+        if name in first_row:
+            problems.append(
+                f"row {lineno}: duplicate {repeated} {name!r} (first seen at row {first_row[name]})")
+            continue
+        first_row[name] = lineno
+        yield lineno, name, row
+
+
+def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
+    if [c.strip() for c in rows[0]] != header:
+        raise InputError(f"{path}: header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
 
 
 def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
     """Read indicators.csv (indicator_id,name,pillar,direction) into a registry."""
     rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: file is empty")
-    if [c.strip() for c in rows[0]] != INDICATORS_HEADER:
-        raise InputError(f"{path}: header must be {','.join(INDICATORS_HEADER)!r}, got {','.join(rows[0])!r}")
+    _check_header(path, rows, INDICATORS_HEADER)
 
     problems: list[str] = []
     specs: list[IndicatorSpec] = []
-    first_row: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            problems.append(f"row {lineno}: expected 4 fields, got {len(row)}")
-            continue
-        ind_id, name, pillar, direction_text = (c.strip() for c in row)
-        if not ind_id:
-            problems.append(f"row {lineno}: empty indicator id")
-            continue
-        if ind_id in first_row:
-            problems.append(f"row {lineno}: duplicate indicator id {ind_id!r} (first seen at row {first_row[ind_id]})")
-            continue
-        first_row[ind_id] = lineno
+    for lineno, ind_id, row in _keyed_rows(rows, len(INDICATORS_HEADER), _INDICATOR_KEY, problems):
+        _, name, pillar, direction_text = (c.strip() for c in row)
         if pillar not in PILLARS:
             problems.append(f"row {lineno}: unknown pillar {pillar!r}")
             continue
@@ -212,12 +219,13 @@ def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
 
 
 def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatrix:
-    """Read observations.csv, whose header must be 'state' plus the registry ids in order."""
+    """Read observations.csv, whose header must be 'state' plus the registry ids in order.
+
+    The file needs at least MIN_STATES states, and the registry at least 2 indicators.
+    """
     if len(registry) < 2:
         raise InputError("at least 2 indicators are required to load observations")
     rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: file is empty")
 
     header = [c.strip() for c in rows[0]]
     expected = ["state", *registry.ids]
@@ -238,22 +246,8 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
 
     problems = []
     states: list[str] = []
-    first_row: dict[str, int] = {}
     data: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(expected):
-            problems.append(f"row {lineno}: expected {len(expected)} fields, got {len(row)}")
-            continue
-        state = row[0].strip()
-        if not state:
-            problems.append(f"row {lineno}: empty state name")
-            continue
-        if state in first_row:
-            problems.append(f"row {lineno}: duplicate state {state!r} (first seen at row {first_row[state]})")
-            continue
-        first_row[state] = lineno
+    for lineno, state, row in _keyed_rows(rows, len(expected), _STATE_KEY, problems):
         values = []
         bad = False
         for ind_id, cell in zip(registry.ids, row[1:]):
@@ -272,8 +266,8 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
             states.append(state)
             data.append(values)
 
-    if not problems and len(states) < 3:
-        problems.append(f"{path}: found {len(states)} states, need at least 3")
+    if not problems and len(states) < MIN_STATES:
+        problems.append(f"{path}: found {len(states)} states, need at least {MIN_STATES}")
     if problems:
         raise InputError(problems)
     return DataMatrix(states=tuple(states), values=np.array(data, dtype=np.float64), registry=registry)
@@ -282,28 +276,11 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
 def load_gini(path: str | Path) -> GiniTable:
     """Read gini.csv (state,gini) into a mapping; values must lie in [0, 1]."""
     rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: file is empty")
-    if [c.strip() for c in rows[0]] != GINI_HEADER:
-        raise InputError(f"{path}: header must be 'state,gini', got {','.join(rows[0])!r}")
+    _check_header(path, rows, GINI_HEADER)
 
     problems: list[str] = []
     table: GiniTable = {}
-    first_row: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            problems.append(f"row {lineno}: expected 2 fields, got {len(row)}")
-            continue
-        state = row[0].strip()
-        if not state:
-            problems.append(f"row {lineno}: empty state name")
-            continue
-        if state in first_row:
-            problems.append(f"row {lineno}: duplicate state {state!r} (first seen at row {first_row[state]})")
-            continue
-        first_row[state] = lineno
+    for lineno, state, row in _keyed_rows(rows, len(GINI_HEADER), _STATE_KEY, problems):
         try:
             value = float(row[1])
         except ValueError:
@@ -319,19 +296,27 @@ def load_gini(path: str | Path) -> GiniTable:
     return table
 
 
-def validate_matrix(matrix: DataMatrix) -> ValidationReport:
-    """Report per-indicator min/max; a constant column is fatal downstream."""
-    checks = []
-    for j, spec in enumerate(matrix.registry):
+def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
+    """Each indicator's (min, max), in registry order.
+
+    A constant column has no min-max rescaling: InputError lists every
+    constant column at once.
+    """
+    ranges = {}
+    for j, ind_id in enumerate(matrix.registry.ids):
         col = matrix.values[:, j]
-        lo = float(np.min(col))
-        hi = float(np.max(col))
-        checks.append(ColumnCheck(indicator_id=spec.id, min=lo, max=hi, constant=hi == lo))
-    return ValidationReport(columns=checks)
+        ranges[ind_id] = (float(np.min(col)), float(np.max(col)))
+    constant = [ind_id for ind_id, (lo, hi) in ranges.items() if lo == hi]
+    if constant:
+        raise InputError([
+            f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
+            for ind_id in constant
+        ])
+    return ranges
 
 
 def write_observations(matrix, path: str | Path, decimals: int | None = None) -> None:
-    """Write a matrix (DataMatrix or NormalizedMatrix) back to observations.csv layout.
+    """Write a DataMatrix, raw or rescaled, in the observations.csv layout.
 
     decimals=None keeps full precision (repr round-trips floats exactly);
     an integer gives fixed-point presentation output.

@@ -1,8 +1,10 @@
 """Exception types shared across the pipeline.
 
 Two failure families matter to callers: bad input data (reject the run,
-exit code 1) and numerical breakdown (exit code 2). Everything else is a
-plain programming error and raises the usual builtins.
+exit code 1) and numerical breakdown (exit code 2). InputError covers
+every input problem, DegenerateColumnError (a constant column) among
+them; everything else is a plain programming error and raises the usual
+builtins.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class InputError(ValueError):
         super().__init__("; ".join(errors))
 
 
-class DegenerateColumnError(ValueError):
+class DegenerateColumnError(InputError):
     """A constant indicator column, for which min-max scaling is undefined."""
 
     def __init__(self, indicator: str):

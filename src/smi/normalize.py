@@ -1,42 +1,19 @@
 """Directional min-max rescaling of indicator columns.
 
 Positive indicators map min -> 0 and max -> 1, negative indicators the
-reverse, with min and max taken over the observed sample. Constant
-columns have no defined rescaling and raise DegenerateColumnError.
+reverse, with min and max taken over the observed sample. The result is
+a DataMatrix whose entries lie in [0, 1]. Constant columns have no
+defined rescaling and raise DegenerateColumnError. load_normalized reads
+that matrix back from a previous stage's normalized.csv and rejects
+values outside [0, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import DataMatrix, Direction, IndicatorRegistry
+from .dataset import DataMatrix, Direction, IndicatorRegistry, load_observations
 from .errors import DegenerateColumnError, InputError
-
-
-@dataclass
-class NormalizedMatrix:
-    """Rescaled observations; every entry lies in [0, 1]."""
-
-    states: tuple[str, ...]
-    values: np.ndarray
-    registry: IndicatorRegistry
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape != (len(self.states), len(self.registry)):
-            raise InputError("normalized values shape does not match labels")
-        if self.values.size and (np.min(self.values) < 0.0 or np.max(self.values) > 1.0):
-            raise InputError("normalized values must lie in [0, 1]")
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_indicators(self) -> int:
-        return self.values.shape[1]
 
 
 def normalize_column(values, direction: Direction, name: str = "<column>") -> np.ndarray:
@@ -56,17 +33,17 @@ def normalize_column(values, direction: Direction, name: str = "<column>") -> np
     return (hi - col) / (hi - lo)
 
 
-def normalize_matrix(matrix: DataMatrix) -> NormalizedMatrix:
+def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
     """Rescale every column of a validated matrix by its indicator's direction."""
     out = np.empty_like(matrix.values)
     for j, spec in enumerate(matrix.registry):
         out[:, j] = normalize_column(matrix.values[:, j], spec.direction, name=spec.id)
-    return NormalizedMatrix(states=matrix.states, values=out, registry=matrix.registry)
+    return DataMatrix(states=matrix.states, values=out, registry=matrix.registry)
 
 
-def load_normalized(path, registry: IndicatorRegistry) -> NormalizedMatrix:
+def load_normalized(path, registry: IndicatorRegistry) -> DataMatrix:
     """Read a normalized.csv produced by a previous stage (observations.csv layout)."""
-    from .dataset import load_observations
-
     matrix = load_observations(path, registry)
-    return NormalizedMatrix(states=matrix.states, values=matrix.values, registry=matrix.registry)
+    if np.min(matrix.values) < 0.0 or np.max(matrix.values) > 1.0:
+        raise InputError(f"{path}: normalized values must lie in [0, 1]")
+    return matrix

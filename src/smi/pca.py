@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dataset import MIN_STATES
 from .errors import DegenerateColumnError, InputError, NumericalError
 
 # a p x p dense symmetric matrix and a p x k loading block are plain arrays
@@ -81,7 +82,7 @@ def _ordered_sum(terms):
 def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatrix:
     """Pearson correlations (or sample covariances) of the columns of data.
 
-    data is a NormalizedMatrix or a plain 2-D array; sample statistics use
+    data is a DataMatrix or a plain 2-D array; sample statistics use
     the n-1 denominator. A zero-variance column cannot be correlated and
     raises DegenerateColumnError.
     """
@@ -94,8 +95,8 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
     if values.ndim != 2:
         raise InputError("correlation input must be a 2-D matrix")
     n = values.shape[0]
-    if n < 3:
-        raise InputError(f"need at least 3 rows to estimate correlations, got {n}")
+    if n < MIN_STATES:
+        raise InputError(f"need at least {MIN_STATES} rows to estimate correlations, got {n}")
 
     means = _ordered_sum(values) / n
     dev = values - means

@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .dataset import DataMatrix
 from .errors import InputError, NumericalError
-from .normalize import NormalizedMatrix
 from .pca import _ordered_sum
 
 # eigenvalues this far below zero are round-off from a PSD source and clamp to 0
@@ -94,7 +94,7 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _ordered_sum(values[:, j] * w for j, w in enumerate(weights)) / total_weight
 
 
-def composite_index(norm: NormalizedMatrix, weights: WeightVector) -> dict[str, float]:
+def composite_index(norm: DataMatrix, weights: WeightVector) -> dict[str, float]:
     """Weighted mean of each state's rescaled indicators, in matrix row order."""
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != norm.n_indicators:

@@ -26,7 +26,7 @@ from smi.dataset import (
     load_gini,
     load_observations,
 )
-from smi.normalize import NormalizedMatrix, normalize_column, normalize_matrix
+from smi.normalize import normalize_column, normalize_matrix
 from smi.pca import correlation_matrix, eigendecompose, loading_matrix, select_components
 from smi.scoring import (
     Category,
@@ -230,7 +230,7 @@ def test_c08_index_properties():
         n = int(rng.integers(1, 15))
         p = int(rng.integers(1, 12))
         registry = _random_registry(rng, p)
-        norm = NormalizedMatrix(
+        norm = DataMatrix(
             states=tuple(f"s{i}" for i in range(n)),
             values=rng.random((n, p)),
             registry=registry)

@@ -1,15 +1,18 @@
 import contextlib
 import csv
 import io
+import inspect
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import smi.cli
 from smi.cli import RunConfig, _style, main, run
 from smi.errors import InputError
 from smi.scoring import PercentileMethod
@@ -131,6 +134,80 @@ def test_cli_exit_one_on_missing_file(tmp_path):
                      "--out", str(tmp_path / "out"))
     assert result.returncode == 1
     assert "file not found" in result.stderr
+
+
+@pytest.mark.parametrize("case", ["missing_loadings", "directory_data", "latin1_gini",
+                                  "normalized_above_one"])
+def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
+    meta = tmp_path / "indicators.csv"
+    meta.write_text(META2_POSITIVE, encoding="utf-8")
+    norm = tmp_path / "normalized.csv"
+    norm.write_text("state,a,b\nA,0.0,1.0\nB,0.5,0.5\nC,1.0,0.0\n", encoding="utf-8")
+    stage_args = ["--normalized", str(norm), "--meta", str(meta), "--out", str(tmp_path / "out")]
+    run_args = ["run", "--data", str(data_dir / "observations_synthetic.csv"),
+                "--meta", str(data_dir / "indicators.csv"), "--out", str(tmp_path / "out")]
+    if case == "missing_loadings":
+        bad = tmp_path / "missing.csv"
+        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(norm)]
+    elif case == "directory_data":
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+        args = [*run_args[:2], str(bad), *run_args[3:]]
+    elif case == "latin1_gini":
+        bad = tmp_path / "gini.csv"
+        bad.write_bytes(b"state,gini\nB\xe9ziers,0.31\n")
+        args = [*run_args, "--gini", str(bad)]
+    else:
+        bad = norm
+        bad.write_text("state,a,b\nA,0.0,1.0\nB,1.2,0.5\nC,1.0,0.0\n", encoding="utf-8")
+        args = ["pca", *stage_args]
+    result = run_cli(*args)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert re.match(rf"error: (file not found: )?{re.escape(str(bad))}", result.stderr), \
+        result.stderr
+
+
+def test_zero_weight_pillar_warned_once(data_dir, tmp_path):
+    # the fixture's PCA gives every pillar weight, so zero one pillar's
+    # weights at the point the pipeline computes them
+    script = (
+        "import sys, smi.cli\n"
+        "compute = smi.cli.compute_weights\n"
+        "def zero_fair_wages(loadings, eigenvalues):\n"
+        "    weights = compute(loadings, eigenvalues)\n"
+        "    registry = smi.cli.load_indicator_metadata(sys.argv[1])\n"
+        "    weights[[s.pillar == 'Fair Wages' for s in registry]] = 0.0\n"
+        "    return weights\n"
+        "smi.cli.compute_weights = zero_fair_wages\n"
+        "raise SystemExit(smi.cli.main(sys.argv[2:]))\n")
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(data_dir / "indicators.csv"),
+         "run", *_fixture_args(data_dir, out)],
+        capture_output=True, text=True, env={**os.environ, "SMI_NO_COLOR": "1"})
+    assert result.returncode == 0, result.stderr
+    warning = "pillar 'Fair Wages' has zero total weight"
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert sum(warning in w for w in report["warnings"]) == 1
+    assert result.stderr.count(warning) == 1
+    assert "Fair Wages" not in (out / "pillars.csv").read_text(encoding="utf-8")
+
+
+def test_benchmark_tracer_sees_every_per_layer_function():
+    # the benchmark's tracer times a layer by wrapping the public functions
+    # smi.cli names; a per-layer metric whose function smi.cli no longer
+    # names, or names from another module, goes unmeasured
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    pattern = re.compile(r"(\w+)\.(\w+)\.(?:ms|self_ms)")
+    named = [m.groups() for m in map(pattern.fullmatch, (e["name"] for e in spec["per_layer"]))
+             if m]
+    assert len(named) == 27
+    for layer, fn in named:
+        value = getattr(smi.cli, fn, None)
+        assert inspect.isfunction(value), fn
+        assert value.__module__ == f"smi.{layer}", (fn, value.__module__)
 
 
 def test_cli_exit_two_on_zero_total_weight(tmp_path):
@@ -260,6 +337,8 @@ def _chain(data_dir, out, pca_flags=(), score_flags=()) -> list[int]:
     ("pca", ["--eigen-threshold", "-1"], "eigen threshold must be non-negative"),
     ("score", ["--low-percentile", "80"], "percentiles must satisfy"),
     ("score", ["--high-percentile", "100"], "percentiles must satisfy"),
+    ("pca", ["--eigen-threshold", "nan"], "eigen threshold must be finite, got nan"),
+    ("pca", ["--eigen-threshold", "inf"], "eigen threshold must be finite, got inf"),
 ])
 def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags, message):
     meta = str(data_dir / "indicators.csv")

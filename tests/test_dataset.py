@@ -30,6 +30,11 @@ Delta,68.0,38.2,5.1
 """
 
 
+_REGISTRY3 = IndicatorRegistry(specs=tuple(
+    IndicatorSpec(id=i, name=i, pillar="Health", direction=Direction.POSITIVE)
+    for i in ("le", "abr", "mys")))
+
+
 @pytest.fixture
 def meta_file(tmp_path):
     path = tmp_path / "indicators.csv"
@@ -104,6 +109,26 @@ def test_metadata_accepts_byte_order_mark(tmp_path):
 def test_metadata_missing_file():
     with pytest.raises(InputError, match="file not found"):
         load_indicator_metadata("/nonexistent/indicators.csv")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read file"),
+    (b"state,gini\nB\xe9ziers,0.3\n", "not UTF-8 text"),
+    (b"", "file is empty"),
+    (b"state,gini\n" + b"x" * 200_000 + b",0.3\n", "not a CSV file"),
+], ids=["directory", "latin1", "empty", "oversized_field"])
+@pytest.mark.parametrize("load", [
+    load_indicator_metadata, load_gini, lambda path: load_observations(path, _REGISTRY3),
+], ids=["metadata", "gini", "observations"])
+def test_loaders_reject_unreadable_files_naming_them(tmp_path, content, message, load):
+    path = tmp_path / "input.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(InputError) as exc:
+        load(path)
+    assert exc.value.errors[0].startswith(f"{path}: {message}")
 
 
 def test_registry_rejects_duplicate_ids():
@@ -205,19 +230,31 @@ def test_gini_problems_collected(tmp_path):
     assert "row 5: non-numeric gini 'abc' for Gamma" in messages
 
 
+def test_validate_matrix_returns_column_ranges(small_registry):
+    values = np.array([
+        [1.0, 5.0, 2.0],
+        [2.0, 4.0, 3.0],
+        [3.0, 6.0, 4.0],
+    ])
+    matrix = DataMatrix(states=("A", "B", "C"), values=values, registry=small_registry)
+    ranges = validate_matrix(matrix)
+    assert ranges == {"le": (1.0, 3.0), "abr": (4.0, 6.0), "mys": (2.0, 4.0)}
+    assert list(ranges) == ["le", "abr", "mys"]
+
+
 def test_validate_matrix_flags_constant_columns(small_registry):
     values = np.array([
         [1.0, 5.0, 2.0],
-        [2.0, 5.0, 3.0],
-        [3.0, 5.0, 4.0],
+        [2.0, 5.0, 2.0],
+        [3.0, 5.0, 2.0],
     ])
     matrix = DataMatrix(states=("A", "B", "C"), values=values, registry=small_registry)
-    report = validate_matrix(matrix)
-    assert report.fatal_ids == ["abr"]
-    assert not report.ok
-    by_id = {c.indicator_id: c for c in report.columns}
-    assert by_id["le"].min == 1.0 and by_id["le"].max == 3.0 and not by_id["le"].constant
-    assert by_id["abr"].constant
+    with pytest.raises(InputError) as exc:
+        validate_matrix(matrix)
+    assert exc.value.errors == [
+        "indicator 'abr' is constant, min-max rescaling is undefined",
+        "indicator 'mys' is constant, min-max rescaling is undefined",
+    ]
 
 
 def test_write_observations_full_precision_round_trips(tmp_path, obs_file, small_registry):

@@ -8,8 +8,8 @@ from smi.dataset import (
     IndicatorSpec,
     load_observations,
 )
-from smi.errors import DegenerateColumnError
-from smi.normalize import NormalizedMatrix, normalize_column, normalize_matrix
+from smi.errors import DegenerateColumnError, InputError
+from smi.normalize import load_normalized, normalize_column, normalize_matrix
 
 
 def _registry(directions):
@@ -33,6 +33,8 @@ def test_constant_column_raises_with_name():
     with pytest.raises(DegenerateColumnError) as exc:
         normalize_column([5.0, 5.0, 5.0], Direction.POSITIVE, name="abr")
     assert exc.value.indicator == "abr"
+    # one exit-1 family: a constant column is an input error
+    assert isinstance(exc.value, InputError)
 
 
 def test_ties_at_extremes_map_exactly():
@@ -86,12 +88,16 @@ def test_monotonicity():
         assert np.all(np.diff(neg[order]) < 0)
 
 
-def test_normalized_matrix_enforces_bounds():
-    registry = _registry([Direction.POSITIVE])
-    with pytest.raises(ValueError, match="0, 1"):
-        NormalizedMatrix(states=("A", "B"),
-                         values=np.array([[0.5], [1.2]]),
-                         registry=registry)
+def test_load_normalized_enforces_bounds(tmp_path):
+    registry = _registry([Direction.POSITIVE, Direction.POSITIVE])
+    path = tmp_path / "normalized.csv"
+    for cell in ("1.2", "-0.1"):
+        path.write_text(f"state,x0,x1\nA,0.5,0.0\nB,{cell},1.0\nC,1.0,0.5\n", encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_normalized(path, registry)
+        assert exc.value.errors == [f"{path}: normalized values must lie in [0, 1]"]
+    path.write_text("state,x0,x1\nA,0.5,0.0\nB,0.0,1.0\nC,1.0,0.5\n", encoding="utf-8")
+    assert load_normalized(path, registry).values[1].tolist() == [0.0, 1.0]
 
 
 def test_fixture_columns_attain_both_endpoints(registry, observations_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from smi.dataset import Direction, IndicatorRegistry, IndicatorSpec
+from smi.dataset import DataMatrix, Direction, IndicatorRegistry, IndicatorSpec
 from smi.errors import InputError, NumericalError
-from smi.normalize import NormalizedMatrix
 from smi.scoring import (
     Category,
     CategoryThresholds,
@@ -25,8 +24,8 @@ def _norm_matrix(values):
                       direction=Direction.POSITIVE)
         for k in range(values.shape[1]))
     states = tuple(f"s{i}" for i in range(values.shape[0]))
-    return NormalizedMatrix(states=states, values=values,
-                            registry=IndicatorRegistry(specs=specs))
+    return DataMatrix(states=states, values=values,
+                      registry=IndicatorRegistry(specs=specs))
 
 
 def test_weights_two_term_hand_oracle():
