@@ -2,14 +2,17 @@
 
 One stage pipeline serves every command. Each stage has one helper
 (validate+normalize; correlate, eigendecompose, select, load; weight,
-score, cut, rank) and one writer for its handoff files. `smi run`
-composes them, then categorizes, cross-tabulates and dumps every stage
-artifact plus report.json. The normalize/pca/score subcommands read the
-previous stage's handoff files and call the same helper and writer, so
-chaining them reproduces the single-run outputs byte for byte (handoff
-files carry full float precision; presentation dumps are rounded to 6
-decimals). Every command builds one RunConfig, whose field defaults are
-the flag defaults, and validates it before any work.
+score, cut, rank; cross-tabulate, pair with Gini, split by pillar) that
+appends the stage's warnings to the list it is given, and the first
+three stages have one writer for their handoff files. `smi run` composes
+all four and dumps every stage artifact plus report.json. The
+normalize/pca/score subcommands read the previous stage's handoff files
+and call the same helper and writer, so chaining them reproduces the
+single-run outputs byte for byte (handoff files carry full float
+precision; presentation dumps are rounded to 6 decimals), and one
+`_warn` prints the same warning lines for every command. Every command
+builds one RunConfig, whose field defaults are the flag defaults, and
+validates it before any work.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
 failure.
@@ -34,10 +37,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    InequalityClass,
+    DEFAULT_GINI_THRESHOLD,
     inequality_classes,
     pillar_scores,
-    pillar_weight_totals,
     scatter_data,
     scenario_table,
 )
@@ -93,7 +95,7 @@ class RunConfig:
     percentile_method: PercentileMethod = PercentileMethod.EXCLUSIVE
     low_percentile: float = 25.0
     high_percentile: float = 75.0
-    gini_threshold: float = 0.30
+    gini_threshold: float = DEFAULT_GINI_THRESHOLD
     pca_basis: Basis = Basis.CORRELATION
     loading_convention: LoadingConvention = LoadingConvention.UNIT_EIGENVECTOR
 
@@ -207,20 +209,6 @@ def write_scores(path: Path, scores: list[StateScore]) -> None:
                [[s.state, _fixed(s.smi), s.rank, s.category.value] for s in scores])
 
 
-def scenario_dict(table, gini_threshold: float) -> dict:
-    grid = {}
-    for category in ("High", "Medium", "Low"):
-        grid[category] = {}
-        for ineq in (InequalityClass.LOW, InequalityClass.HIGH):
-            key = next(k for k in table.cells if k[0].value == category and k[1] is ineq)
-            grid[category][ineq.value] = list(table.cells[key])
-    return {
-        "gini_threshold": gini_threshold,
-        "grid": grid,
-        "unclassified": list(table.unclassified),
-    }
-
-
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
     """Check the config, make the output directory, load the indicator registry."""
     config.validate()
@@ -234,21 +222,63 @@ def _normalize_stage(matrix: DataMatrix) -> tuple[dict[str, tuple[float, float]]
     return validate_matrix(matrix), normalize_matrix(matrix)
 
 
-def _pca_stage(norm: DataMatrix, config: RunConfig):
-    """Correlate, eigendecompose, select components, load: (corr, spectrum, selection, loadings)."""
+def _pca_stage(norm: DataMatrix, config: RunConfig, warnings: list[str]):
+    """Correlate, eigendecompose, select components, load: (corr, spectrum, selection, loadings).
+
+    Warns when the variance target extended the selection.
+    """
     corr = correlation_matrix(norm, basis=config.pca_basis)
     spectrum = eigendecompose(corr)
     selection = select_components(spectrum, config.eigen_threshold, config.variance_target)
+    if selection.extended:
+        warnings.append(
+            f"variance target {config.variance_target} not met by the "
+            f"{selection.threshold_count} components above eigenvalue "
+            f"{config.eigen_threshold}; extended to {len(selection.selected)} components")
     return corr, spectrum, selection, loading_matrix(spectrum, selection, config.loading_convention)
 
 
-def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: RunConfig):
-    """Weight by the selected eigenvalues, score, cut, rank: (weights, scores, thresholds, ranked)."""
+def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: RunConfig,
+                 warnings: list[str]):
+    """Weight by the selected eigenvalues, score, cut, rank: (weights, scores, thresholds, ranked).
+
+    Warns for each state that scores near a category cutoff.
+    """
     weights = compute_weights(loadings, eigenvalues)
     scores = composite_index(norm, weights)
     thresholds = thresholds_from_scores(
         scores, config.low_percentile, config.high_percentile, config.percentile_method)
-    return weights, scores, thresholds, state_scores(scores, thresholds)
+    ranked = state_scores(scores, thresholds)
+    for entry in ranked:
+        for name, cut in (("low", thresholds.t_low), ("high", thresholds.t_high)):
+            if abs(entry.smi - cut) < BOUNDARY_WARNING_MARGIN:
+                warnings.append(
+                    f"{entry.state} scores within {BOUNDARY_WARNING_MARGIN} of the "
+                    f"{name} threshold ({entry.smi:.6f} vs {cut:.6f}); its category is sensitive "
+                    "to score rounding")
+    return weights, scores, thresholds, ranked
+
+
+def _analysis_stage(norm: DataMatrix, weights: np.ndarray, scores: dict[str, float],
+                    ranked: list[StateScore], gini: GiniTable, config: RunConfig,
+                    warnings: list[str]):
+    """Cross-tabulate, pair scores with Gini, split by pillar: (scenarios, scatter, pillars).
+
+    Warns when there is no Gini file, for the states without a Gini
+    value, and for each pillar that carries no weight.
+    """
+    if not config.gini:
+        warnings.append("no gini file given; every state is unclassified in the scenario table")
+    ineq = inequality_classes(norm.states, gini, config.gini_threshold)
+    scenarios = scenario_table({s.state: s.category for s in ranked}, ineq, config.gini_threshold)
+    if config.gini and scenarios["unclassified"]:
+        warnings.append("no gini value for: " + ", ".join(scenarios["unclassified"]))
+    pillars = pillar_scores(norm, weights, norm.registry)
+    scored = {pillar for _, pillar, _, _ in pillars}
+    for pillar in dict.fromkeys(spec.pillar for spec in norm.registry):
+        if pillar not in scored:
+            warnings.append(f"pillar {pillar!r} has zero total weight; no sub-scores emitted")
+    return scenarios, scatter_data(scores, gini), pillars
 
 
 def _write_normalize_stage(out_dir: Path, norm: DataMatrix) -> None:
@@ -277,50 +307,25 @@ def run(config: RunConfig) -> dict:
     matrix = load_observations(config.data, registry)
     gini: GiniTable = load_gini(config.gini) if config.gini else {}
 
+    # each stage appends its own warnings, so they come out in stage order
     warnings: list[str] = []
     ranges, norm = _normalize_stage(matrix)
-    corr, spectrum, selection, loadings = _pca_stage(norm, config)
-    if selection.extended:
-        warnings.append(
-            f"variance target {config.variance_target} not met by the "
-            f"{selection.threshold_count} components above eigenvalue "
-            f"{config.eigen_threshold}; extended to {len(selection.selected)} components")
+    corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
     weights, scores, thresholds, ranked = _score_stage(
-        norm, loadings, spectrum.eigenvalues[selection.selected], config)
-
-    for entry in ranked:
-        for name, cut in (("low", thresholds.t_low), ("high", thresholds.t_high)):
-            if abs(entry.smi - cut) < BOUNDARY_WARNING_MARGIN:
-                warnings.append(
-                    f"{entry.state} scores within {BOUNDARY_WARNING_MARGIN} of the "
-                    f"{name} threshold ({entry.smi:.6f} vs {cut:.6f}); its category is sensitive "
-                    "to score rounding")
-
-    if not config.gini:
-        warnings.append("no gini file given; every state is unclassified in the scenario table")
-    ineq = inequality_classes(matrix.states, gini, config.gini_threshold)
-    categories = {s.state: s.category for s in ranked}
-    table = scenario_table(categories, ineq)
-    if config.gini and table.unclassified:
-        warnings.append(
-            "no gini value for: " + ", ".join(table.unclassified))
-    scatter = scatter_data(scores, gini)
-    pillars = pillar_scores(norm, weights, registry)
-    for pillar, total in pillar_weight_totals(weights, registry).items():
-        if total <= 0.0:
-            warnings.append(f"pillar {pillar!r} has zero total weight; no sub-scores emitted")
+        norm, loadings, spectrum.eigenvalues[selection.selected], config, warnings)
+    scenarios, scatter, pillars = _analysis_stage(
+        norm, weights, scores, ranked, gini, config, warnings)
 
     _write_normalize_stage(out_dir, norm)
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     _write_score_stage(out_dir, registry, weights, ranked)
-    scenarios = scenario_dict(table, config.gini_threshold)
     with open(out_dir / "scenarios.json", "w", encoding="utf-8") as fh:
         json.dump(scenarios, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
     _write_csv(out_dir / "scatter.csv", ["state", "gini", "smi"],
-               [[s, _fixed(g), _fixed(v)] for s, g, v in scatter.records])
+               [[s, _fixed(g), _fixed(v)] for s, g, v in scatter])
     _write_csv(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-               [[p.state, p.pillar, _fixed(p.value), str(p.is_best).lower()] for p in pillars])
+               [[s, p, _fixed(v), str(best).lower()] for s, p, v, best in pillars])
 
     total_variance = spectrum.total_variance
     report = {
@@ -387,6 +392,11 @@ def _style(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _warn(warnings: list[str]) -> None:
+    for warning in warnings:
+        print(_style(f"warning: {warning}", "33"), file=sys.stderr)
+
+
 def _print_errors(label: str, exc: Exception) -> None:
     messages = getattr(exc, "errors", None) or [str(exc)]
     for message in messages:
@@ -412,8 +422,7 @@ def cmd_run(args) -> int:
           f"{sel['explained_variance_ratio']:.1%} of variance")
     print(f"thresholds: low {report['thresholds']['t_low']:.6f} / "
           f"high {report['thresholds']['t_high']:.6f}")
-    for warning in report["warnings"]:
-        print(_style(f"warning: {warning}", "33"), file=sys.stderr)
+    _warn(report["warnings"])
     print(f"wrote {Path(config.out_dir) / 'report.json'}")
     return 0
 
@@ -432,10 +441,12 @@ def cmd_pca(args) -> int:
     config = _config(args)
     out_dir, registry = _prepare(config)
     norm = load_normalized(config.data, registry)
-    corr, spectrum, selection, loadings = _pca_stage(norm, config)
+    warnings: list[str] = []
+    corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     print(f"selected {len(selection.selected)} of {len(spectrum.eigenvalues)} components "
           f"({selection.explained_variance_ratio:.1%} of variance)")
+    _warn(warnings)
     return 0
 
 
@@ -445,10 +456,12 @@ def cmd_score(args) -> int:
     norm = load_normalized(config.data, registry)
     loadings = read_loadings(Path(args.loadings), registry)
     eigenvalues = read_spectrum(Path(args.spectrum), registry)
-    weights, _, thresholds, ranked = _score_stage(norm, loadings, eigenvalues, config)
+    warnings: list[str] = []
+    weights, _, thresholds, ranked = _score_stage(norm, loadings, eigenvalues, config, warnings)
     _write_score_stage(out_dir, registry, weights, ranked)
     print(f"scored {len(ranked)} states; thresholds low {thresholds.t_low:.6f} / "
           f"high {thresholds.t_high:.6f}")
+    _warn(warnings)
     return 0
 
 

@@ -228,7 +228,8 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
     rows = _read_rows(path)
 
     header = [c.strip() for c in rows[0]]
-    expected = ["state", *registry.ids]
+    ids = registry.ids
+    expected = ["state", *ids]
     if header != expected:
         problems = []
         got_cols = set(header[1:]) if header and header[0] == "state" else set(header)
@@ -250,7 +251,7 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
     for lineno, state, row in _keyed_rows(rows, len(expected), _STATE_KEY, problems):
         values = []
         bad = False
-        for ind_id, cell in zip(registry.ids, row[1:]):
+        for ind_id, cell in zip(ids, row[1:]):
             try:
                 v = float(cell)
             except ValueError:
@@ -315,15 +316,13 @@ def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
     return ranges
 
 
-def write_observations(matrix, path: str | Path, decimals: int | None = None) -> None:
+def write_observations(matrix, path: str | Path) -> None:
     """Write a DataMatrix, raw or rescaled, in the observations.csv layout.
 
-    decimals=None keeps full precision (repr round-trips floats exactly);
-    an integer gives fixed-point presentation output.
+    Values keep full precision: repr round-trips floats exactly.
     """
-    fmt = repr if decimals is None else lambda v: f"{v:.{decimals}f}"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state", *matrix.registry.ids])
         for state, row in zip(matrix.states, matrix.values):
-            writer.writerow([state, *(fmt(float(v)) for v in row)])
+            writer.writerow([state, *(repr(float(v)) for v in row)])

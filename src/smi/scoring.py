@@ -28,9 +28,6 @@ class Category(Enum):
     HIGH = "High"
 
 
-CATEGORY_ORDER: tuple[Category, ...] = (Category.LOW, Category.MEDIUM, Category.HIGH)
-
-
 class PercentileMethod(Enum):
     EXCLUSIVE = "exclusive"
     INCLUSIVE = "inclusive"

@@ -3,7 +3,6 @@ import pytest
 
 from smi.analysis import (
     InequalityClass,
-    classify_inequality,
     inequality_classes,
     pillar_scores,
     pillar_weight_totals,
@@ -15,16 +14,20 @@ from smi.errors import InputError
 from smi.scoring import Category, composite_index
 
 
+def _classify(gini, **kwargs):
+    return inequality_classes(["X"], {"X": gini}, **kwargs)["X"]
+
+
 def test_classify_boundary_rule():
-    assert classify_inequality(0.29) is InequalityClass.LOW
-    assert classify_inequality(0.30) is InequalityClass.HIGH
-    assert classify_inequality(0.31) is InequalityClass.HIGH
+    assert _classify(0.29) is InequalityClass.LOW
+    assert _classify(0.30) is InequalityClass.HIGH
+    assert _classify(0.31) is InequalityClass.HIGH
 
 
 def test_classify_custom_threshold_and_range_check():
-    assert classify_inequality(0.40, threshold=0.5) is InequalityClass.LOW
+    assert _classify(0.40, threshold=0.5) is InequalityClass.LOW
     with pytest.raises(InputError, match="outside"):
-        classify_inequality(1.2)
+        _classify(1.2)
 
 
 def test_inequality_classes_marks_missing_states():
@@ -32,8 +35,8 @@ def test_inequality_classes_marks_missing_states():
     assert classes == {
         "A": InequalityClass.LOW,
         "B": InequalityClass.HIGH,
-        "C": InequalityClass.UNCLASSIFIED,
     }
+    assert "C" not in classes
 
 
 def test_scenario_table_partitions_states():
@@ -49,22 +52,26 @@ def test_scenario_table_partitions_states():
         "Bihar": InequalityClass.LOW, "Odisha": InequalityClass.HIGH,
     }
     table = scenario_table(categories, inequality)
-    assert table.cell(Category.HIGH, InequalityClass.LOW) == ("Delhi",)
-    assert table.cell(Category.HIGH, InequalityClass.HIGH) == ("Kerala",)
-    assert table.cell(Category.MEDIUM, InequalityClass.LOW) == ("Assam",)
-    assert table.cell(Category.MEDIUM, InequalityClass.HIGH) == ("Punjab",)
-    assert table.cell(Category.LOW, InequalityClass.LOW) == ("Bihar",)
-    assert table.cell(Category.LOW, InequalityClass.HIGH) == ("Odisha",)
-    assert table.unclassified == ("Ghost",)
-    placed = [s for cell in table.cells.values() for s in cell] + list(table.unclassified)
-    assert sorted(placed) == sorted(categories)
+    grid = table["grid"]
+    # scenarios.json keeps this row and column order
+    assert list(grid) == ["High", "Medium", "Low"]
+    assert all(list(row) == ["LowInequality", "HighInequality"] for row in grid.values())
+    assert grid["High"]["LowInequality"] == ["Delhi"]
+    assert grid["High"]["HighInequality"] == ["Kerala"]
+    assert grid["Medium"]["LowInequality"] == ["Assam"]
+    assert grid["Medium"]["HighInequality"] == ["Punjab"]
+    assert grid["Low"]["LowInequality"] == ["Bihar"]
+    assert grid["Low"]["HighInequality"] == ["Odisha"]
+    assert table["unclassified"] == ["Ghost"]
+    placed = [s for row in grid.values() for cell in row.values() for s in cell]
+    assert sorted(placed + table["unclassified"]) == sorted(categories)
 
 
 def test_scenario_table_empty_gini_all_unclassified():
     categories = {"A": Category.LOW, "B": Category.HIGH}
     table = scenario_table(categories, inequality_classes(["A", "B"], {}))
-    assert table.unclassified == ("A", "B")
-    assert all(cell == () for cell in table.cells.values())
+    assert table["unclassified"] == ["A", "B"]
+    assert all(cell == [] for row in table["grid"].values() for cell in row.values())
 
 
 def test_scenario_table_input_order_does_not_matter():
@@ -72,18 +79,17 @@ def test_scenario_table_input_order_does_not_matter():
     inequality = {s: InequalityClass.LOW for s in categories}
     first = scenario_table(categories, inequality)
     second = scenario_table(dict(reversed(list(categories.items()))), inequality)
-    assert first.cells == second.cells
-    assert first.cell(Category.LOW, InequalityClass.LOW) == ("A", "B", "C")
+    assert first["grid"] == second["grid"]
+    assert first["grid"]["Low"]["LowInequality"] == ["A", "B", "C"]
 
 
 def test_scatter_data_pairs_and_omits():
     scores = {"Delhi": 0.853, "Assam": 0.352, "Ghost": 0.5}
     gini = {"Delhi": 0.25, "Assam": 0.26}
-    data = scatter_data(scores, gini)
-    assert data.records == [("Assam", 0.26, 0.352), ("Delhi", 0.25, 0.853)]
-    assert data.omitted == ("Ghost",)
-    empty = scatter_data({}, gini)
-    assert empty.records == [] and empty.omitted == ()
+    rows = scatter_data(scores, gini)
+    assert rows == [("Assam", 0.26, 0.352), ("Delhi", 0.25, 0.853)]
+    assert sorted(set(scores) - {state for state, _, _ in rows}) == ["Ghost"]
+    assert scatter_data({}, gini) == []
 
 
 def _two_pillar_setup():
@@ -111,15 +117,15 @@ def test_pillar_weight_totals():
 def test_pillar_scores_hand_values():
     norm, weights, registry = _two_pillar_setup()
     entries = pillar_scores(norm, weights, registry)
-    value = {(e.state, e.pillar): e.value for e in entries}
+    value = {(state, pillar): score for state, pillar, score, _ in entries}
     # Health for A: (1*3 + 0*1) / 4 = 0.75; B: all ones -> 1.0
     assert value[("A", "Health")] == 0.75
     assert value[("B", "Health")] == 1.0
     assert value[("A", "Fair Wages")] == 1.0
     assert value[("C", "Fair Wages")] == 0.5
-    best = {(e.pillar, e.state) for e in entries if e.is_best}
+    best = {(pillar, state) for state, pillar, _, is_best in entries if is_best}
     assert best == {("Health", "B"), ("Fair Wages", "A")}
-    assert all(0.0 <= e.value <= 1.0 for e in entries)
+    assert all(0.0 <= score <= 1.0 for _, _, score, _ in entries)
 
 
 def test_pillar_best_tie_goes_to_first_name():
@@ -130,7 +136,7 @@ def test_pillar_best_tie_goes_to_first_name():
                       values=np.array([[1.0], [1.0]]),
                       registry=registry)
     entries = pillar_scores(norm, np.array([2.0]), registry)
-    best = [e.state for e in entries if e.is_best]
+    best = [state for state, _, _, is_best in entries if is_best]
     assert best == ["Alpha"]
 
 
@@ -139,7 +145,7 @@ def test_pillar_zero_weight_skipped_with_warning():
     weights = weights.copy()
     weights[2] = 0.0
     entries = pillar_scores(norm, weights, registry)
-    assert {e.pillar for e in entries} == {"Health"}
+    assert {pillar for _, pillar, _, _ in entries} == {"Health"}
 
 
 def test_pillar_decomposition_matches_index():
@@ -150,8 +156,8 @@ def test_pillar_decomposition_matches_index():
     total_weight = sum(totals.values())
     for state in norm.states:
         mix = sum(
-            e.value * totals[e.pillar] / total_weight
-            for e in entries if e.state == state)
+            score * totals[pillar] / total_weight
+            for s, pillar, score, _ in entries if s == state)
         assert mix == pytest.approx(scores[state], abs=1e-12)
 
 
@@ -193,6 +199,7 @@ def test_pillar_scores_are_byte_identical_to_scalar_loops():
             weights[[j for j, s in enumerate(specs) if s.pillar == specs[0].pillar]] = 0.0
         totals, expected = _reference_pillars(norm, weights, registry)
         assert pillar_weight_totals(weights, registry) == totals
-        got = {(e.state, e.pillar): e.value for e in pillar_scores(norm, weights, registry)}
+        got = {(state, pillar): score
+               for state, pillar, score, _ in pillar_scores(norm, weights, registry)}
         assert got == expected
         assert list(got) == list(expected)

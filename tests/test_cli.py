@@ -30,6 +30,10 @@ a,A,Health,positive
 b,B,Health,positive
 """
 
+# the two top states nearly tie, so the 75th-percentile cut (halfway
+# between them under the default method at n=5) sits within 1e-3 of both
+NEAR_TIE_OBS = "state,a,b\nA,0,0\nB,0.2,0.2\nC,0.5,0.5\nD,0.8,0.8\nE,0.8004,0.8004\n"
+
 
 def run_cli(*args, cwd=None):
     env = {**os.environ, "SMI_NO_COLOR": "1"}
@@ -298,11 +302,7 @@ def test_boundary_warning_fires(tmp_path):
     meta = tmp_path / "indicators.csv"
     meta.write_text(META2_POSITIVE, encoding="utf-8")
     obs = tmp_path / "observations.csv"
-    # the two top states nearly tie, so the 75th-percentile cut (halfway
-    # between them under the default method at n=5) sits within 1e-3 of both
-    obs.write_text(
-        "state,a,b\nA,0,0\nB,0.2,0.2\nC,0.5,0.5\nD,0.8,0.8\nE,0.8004,0.8004\n",
-        encoding="utf-8")
+    obs.write_text(NEAR_TIE_OBS, encoding="utf-8")
     config = RunConfig(data=str(obs), meta=str(meta), out_dir=str(tmp_path / "out"))
     report = run(config)
     assert any("threshold" in w and "sensitive" in w for w in report["warnings"])
@@ -395,3 +395,34 @@ def test_chained_stages_match_single_run(data_dir, tmp_path, basis, convention, 
     for name in ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv",
                  "weights.csv", "scores.csv"):
         assert (chained / name).read_bytes() == (single / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case, stage, warning", [
+    ("fixture", "pca", "variance target 0.85 not met by the 8 components above "
+                       "eigenvalue 1.0; extended to 9 components"),
+    ("near_tie", "score", "of the high threshold"),
+])
+def test_chained_stages_warn_like_single_run(data_dir, tmp_path, case, stage, warning):
+    if case == "fixture":
+        obs, meta = data_dir / "observations_synthetic.csv", data_dir / "indicators.csv"
+    else:
+        obs, meta = tmp_path / "observations.csv", tmp_path / "indicators.csv"
+        obs.write_text(NEAR_TIE_OBS, encoding="utf-8")
+        meta.write_text(META2_POSITIVE, encoding="utf-8")
+    out = tmp_path / "out"
+    norm = str(out / "normalized.csv")
+    _, run_err = _main("run", "--data", str(obs), "--meta", str(meta),
+                       "--out", str(tmp_path / "run"))
+    errs = {
+        "normalize": _main("normalize", "--data", str(obs), "--meta", str(meta), "--out", str(out)),
+        "pca": _main("pca", "--normalized", norm, "--meta", str(meta), "--out", str(out)),
+        "score": _main("score", "--normalized", norm, "--meta", str(meta),
+                       "--loadings", str(out / "loadings.csv"),
+                       "--spectrum", str(out / "spectrum.csv"), "--out", str(out)),
+    }
+    assert [code for code, _ in errs.values()] == [0, 0, 0]
+    assert warning in errs[stage][1]
+    # the chain has no analysis stage, so it lacks only run's last warning
+    no_gini = "warning: no gini file given; every state is unclassified in the scenario table\n"
+    assert run_err.endswith(no_gini)
+    assert "".join(err for _, err in errs.values()) == run_err[:-len(no_gini)]

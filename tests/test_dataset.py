@@ -266,13 +266,6 @@ def test_write_observations_full_precision_round_trips(tmp_path, obs_file, small
     assert np.array_equal(again.values, matrix.values)
 
 
-def test_write_observations_fixed_point(tmp_path, obs_file, small_registry):
-    matrix = load_observations(obs_file, small_registry)
-    out = tmp_path / "rounded.csv"
-    write_observations(matrix, out, decimals=2)
-    assert "70.10" in out.read_text(encoding="utf-8")
-
-
 def test_loaded_fixture_shapes(registry, observations_path, gini_path):
     assert len(registry) == 31
     matrix = load_observations(observations_path, registry)
