@@ -21,7 +21,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -47,7 +46,10 @@ from .dataset import (
     DataMatrix,
     GiniTable,
     IndicatorRegistry,
+    _INDICATOR_KEY,
+    _keyed_rows,
     _read_rows,
+    _write_rows,
     load_gini,
     load_indicator_metadata,
     load_observations,
@@ -129,25 +131,23 @@ def _fixed(value: float) -> str:
     return f"{value:.{PRESENTATION_DECIMALS}f}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
 
 
 def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
-    ids = list(ids)
-    rows = [[ids[i], *(_fixed(float(v)) for v in matrix[i])] for i in range(len(ids))]
-    _write_csv(path, ["indicator_id", *ids], rows)
+    _write_rows(path, ["indicator_id", *ids],
+                ([ind_id, *map(_fixed, row)] for ind_id, row in zip(ids, matrix.tolist())))
 
 
 def write_spectrum(path: Path, spectrum: Spectrum, selection: ComponentSelection) -> None:
     total = spectrum.total_variance
     chosen = set(selection.selected)
-    rows = [[j + 1, repr(float(value)), repr(float(value) / total), int(j in chosen)]
-            for j, value in enumerate(spectrum.eigenvalues)]
-    _write_csv(path, ["component", "eigenvalue", "explained_variance_ratio", "selected"], rows)
+    _write_rows(path, ["component", "eigenvalue", "explained_variance_ratio", "selected"],
+                ([j + 1, value, value / total, int(j in chosen)]
+                 for j, value in enumerate(spectrum.eigenvalues.tolist())))
 
 
 def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
@@ -181,16 +181,19 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
 
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
-    header = ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))]
-    rows = [[ind_id, *(repr(float(v)) for v in loadings[i])] for i, ind_id in enumerate(ids)]
-    _write_csv(path, header, rows)
+    _write_rows(path, ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))],
+                ([ind_id, *row] for ind_id, row in zip(ids, loadings.tolist())))
 
 
 def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
+    """The loading matrix of a loadings.csv, one row per registry indicator in order."""
     rows = _read_rows(path)
     if not rows[0] or rows[0][0] != "indicator_id":
         raise InputError(f"{path}: not a loadings.csv file")
-    body = [row for row in rows[1:] if row]
+    problems: list[str] = []
+    body = [row for _, _, row in _keyed_rows(rows, len(rows[0]), _INDICATOR_KEY, problems)]
+    if problems:
+        raise InputError([f"{path}: {problem}" for problem in problems])
     if tuple(row[0] for row in body) != registry.ids:
         raise InputError(f"{path}: indicator rows do not match the registry")
     try:
@@ -200,13 +203,13 @@ def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
 
 
 def write_weights(path: Path, weights: np.ndarray, ids) -> None:
-    _write_csv(path, ["indicator_id", "weight"],
-               [[ind_id, _fixed(float(w))] for ind_id, w in zip(ids, weights)])
+    _write_rows(path, ["indicator_id", "weight"],
+                ([ind_id, _fixed(w)] for ind_id, w in zip(ids, weights.tolist())))
 
 
 def write_scores(path: Path, scores: list[StateScore]) -> None:
-    _write_csv(path, ["state", "smi", "rank", "category"],
-               [[s.state, _fixed(s.smi), s.rank, s.category.value] for s in scores])
+    _write_rows(path, ["state", "smi", "rank", "category"],
+                ([s.state, _fixed(s.smi), s.rank, s.category.value] for s in scores))
 
 
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
@@ -281,10 +284,6 @@ def _analysis_stage(norm: DataMatrix, weights: np.ndarray, scores: dict[str, flo
     return scenarios, scatter_data(scores, gini), pillars
 
 
-def _write_normalize_stage(out_dir: Path, norm: DataMatrix) -> None:
-    write_observations(norm, out_dir / "normalized.csv")
-
-
 def _write_pca_stage(out_dir: Path, registry: IndicatorRegistry, corr: np.ndarray,
                      spectrum: Spectrum, selection: ComponentSelection,
                      loadings: np.ndarray) -> None:
@@ -316,16 +315,14 @@ def run(config: RunConfig) -> dict:
     scenarios, scatter, pillars = _analysis_stage(
         norm, weights, scores, ranked, gini, config, warnings)
 
-    _write_normalize_stage(out_dir, norm)
+    write_observations(norm, out_dir / "normalized.csv")
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     _write_score_stage(out_dir, registry, weights, ranked)
-    with open(out_dir / "scenarios.json", "w", encoding="utf-8") as fh:
-        json.dump(scenarios, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    _write_csv(out_dir / "scatter.csv", ["state", "gini", "smi"],
-               [[s, _fixed(g), _fixed(v)] for s, g, v in scatter])
-    _write_csv(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-               [[s, p, _fixed(v), str(best).lower()] for s, p, v, best in pillars])
+    _write_json(out_dir / "scenarios.json", scenarios)
+    _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
+                ([s, _fixed(g), _fixed(v)] for s, g, v in scatter))
+    _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
+                ([s, p, _fixed(v), str(best).lower()] for s, p, v, best in pillars))
 
     total_variance = spectrum.total_variance
     report = {
@@ -380,9 +377,7 @@ def run(config: RunConfig) -> dict:
             "elapsed_seconds": time.monotonic() - started,
         },
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", report)
     return report
 
 
@@ -431,7 +426,7 @@ def cmd_normalize(args) -> int:
     config = _config(args)
     out_dir, registry = _prepare(config)
     _, norm = _normalize_stage(load_observations(config.data, registry))
-    _write_normalize_stage(out_dir, norm)
+    write_observations(norm, out_dir / "normalized.csv")
     print(f"wrote {out_dir / 'normalized.csv'} "
           f"({norm.n_states} states x {norm.n_indicators} indicators)")
     return 0

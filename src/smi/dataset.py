@@ -1,12 +1,13 @@
-"""The input layer: domain model, CSV reading and the input rules.
+"""The input layer: domain model, the one CSV reader and writer, and the input rules.
 
 Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
 opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
-empty file into an InputError naming it. Loaders collect every problem
-they find and raise a single InputError listing all of them, with
-1-based row numbers (the header is row 1).
+empty file into an InputError naming it, and every CSV it writes is
+opened by _write_rows. Loaders collect every problem they find and
+raise a single InputError listing all of them, with 1-based row numbers
+(the header is row 1).
 """
 
 from __future__ import annotations
@@ -160,6 +161,18 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     return rows
 
 
+def _write_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write a CSV file: the header, then the rows.
+
+    A float cell is written as str(float), the shortest text that reads
+    back to the same float, so full-precision files round-trip exactly.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problems: list[str]):
     """Yield (lineno, name, row) for each body row that passes the rules every loader shares.
 
@@ -232,16 +245,17 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
     expected = ["state", *ids]
     if header != expected:
         problems = []
-        got_cols = set(header[1:]) if header and header[0] == "state" else set(header)
-        missing = [i for i in registry.ids if i not in got_cols]
-        extra = [c for c in header[1:] if c not in set(registry.ids)] if header and header[0] == "state" else header
+        # the indicator columns follow the state column whatever it is called
+        columns = header[1:]
+        missing = [i for i in ids if i not in columns]
+        extra = [c for c in columns if c not in ids]
         if header and header[0] != "state":
             problems.append(f"first header column must be 'state', got {header[0]!r}")
         if missing:
             problems.append(f"missing indicator columns: {', '.join(missing)}")
         if extra:
             problems.append(f"unexpected columns: {', '.join(extra)}")
-        if not missing and not extra and header and header[0] == "state":
+        if not problems:
             problems.append("indicator columns are not in registry order")
         raise InputError([f"{path}: {p}" for p in problems])
 
@@ -319,10 +333,8 @@ def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
 def write_observations(matrix, path: str | Path) -> None:
     """Write a DataMatrix, raw or rescaled, in the observations.csv layout.
 
-    Values keep full precision: repr round-trips floats exactly.
+    Values keep full precision and read back bit for bit. Rows are
+    converted one at a time, so no second copy of the matrix is held.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", *matrix.registry.ids])
-        for state, row in zip(matrix.states, matrix.values):
-            writer.writerow([state, *(repr(float(v)) for v in row)])
+    _write_rows(path, ["state", *matrix.registry.ids],
+                ([state, *row.tolist()] for state, row in zip(matrix.states, matrix.values)))

@@ -117,10 +117,8 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
-    p = a.shape[0]
-    if p < 2:
-        return 0.0
-    upper = a[np.triu_indices(p, 1)]
+    # a 1 x 1 matrix has no upper triangle, and the empty sum is 0.0
+    upper = a[np.triu_indices(a.shape[0], 1)]
     # numpy's pairwise reduction has a fixed order, so this stays reproducible
     return math.sqrt(2.0 * float(np.sum(upper * upper)))
 
@@ -158,37 +156,25 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise InputError("matrix is not symmetric within 1e-12")
     a = (a + a.T) / 2.0
-    _, seed = np.linalg.eigh(a)
-    b = seed.T @ a @ seed
-
-    # Fused working block [B | V^T]: the matrix rows and the accumulated
-    # eigenvector rows rotate with the same (c, s), so one pair of row
-    # operations on the wide block updates both. Column entries of B are
-    # then mirrored from the new rows, which is exact because B stays
-    # bitwise symmetric throughout.
-    work = np.empty((p, 2 * p), dtype=np.float64)
-    work[:, :p] = (b + b.T) / 2.0
-    work[:, p:] = seed.T
-    amat = work[:, :p]
-    buf_i = np.empty(2 * p, dtype=np.float64)
-    buf_j = np.empty(2 * p, dtype=np.float64)
-    buf_t = np.empty(2 * p, dtype=np.float64)
+    _, v = np.linalg.eigh(a)
+    # B = V^T A V, made bitwise symmetric; V then accumulates the rotations
+    b = v.T @ a @ v
+    b = (b + b.T) / 2.0
     # entries at or below this can never lift the off-diagonal norm back
     # above tol (p(p-1) of them contribute under tol^2/4 combined), so
     # rotating them is a no-op and they are skipped
     skip = tol / (2.0 * p)
 
     sweeps = 0
-    off = _off_diagonal_norm(amat)
+    off = _off_diagonal_norm(b)
     while off >= tol and sweeps < max_sweeps:
         for i in range(p - 1):
-            row_i = work[i]
             for j in range(i + 1, p):
-                aij = float(amat[i, j])
+                aij = float(b[i, j])
                 if abs(aij) <= skip:
                     continue
-                aii = float(amat[i, i])
-                ajj = float(amat[j, j])
+                aii = float(b[i, i])
+                ajj = float(b[j, j])
                 theta = (ajj - aii) / (2.0 * aij)
                 if abs(theta) > 1e150:
                     t = 1.0 / (2.0 * theta)
@@ -199,34 +185,30 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
 
-                row_j = work[j]
-                np.multiply(row_i, c, out=buf_i)
-                np.multiply(row_j, s, out=buf_t)
-                np.subtract(buf_i, buf_t, out=buf_i)
-                np.multiply(row_i, s, out=buf_j)
-                np.multiply(row_j, c, out=buf_t)
-                np.add(buf_j, buf_t, out=buf_j)
-                work[i] = buf_i
-                work[j] = buf_j
-                amat[:, i] = buf_i[:p]
-                amat[:, j] = buf_j[:p]
+                # rotate rows i and j of B, then mirror them into columns
+                # i and j: exact, because B stays bitwise symmetric
+                row_i = b[i] * c - b[j] * s
+                row_j = b[i] * s + b[j] * c
+                b[i], b[j] = row_i, row_j
+                b[:, i], b[:, j] = row_i, row_j
+                # columns i and j of V take the same rotation
+                v[:, i], v[:, j] = v[:, i] * c - v[:, j] * s, v[:, i] * s + v[:, j] * c
                 # exact identities for the rotated 2x2 block
-                amat[i, i] = aii - t * aij
-                amat[j, j] = ajj + t * aij
-                amat[i, j] = 0.0
-                amat[j, i] = 0.0
+                b[i, i] = aii - t * aij
+                b[j, j] = ajj + t * aij
+                b[i, j] = 0.0
+                b[j, i] = 0.0
         sweeps += 1
-        off = _off_diagonal_norm(amat)
+        off = _off_diagonal_norm(b)
 
     if off >= tol:
         raise NumericalError(
             f"Jacobi iteration did not converge in {max_sweeps} sweeps", residual=off)
 
-    vectors = work[:, p:].T.copy()
-    eigenvalues = np.diag(amat).copy()
+    eigenvalues = np.diag(b)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
+    vectors = v[:, order]
     _fix_signs(vectors)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=vectors,
                     sweeps=sweeps, off_diagonal_norm=off)

@@ -10,11 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smi.cli
 from smi.cli import RunConfig, _style, main, run
+from smi.dataset import DataMatrix, Direction, IndicatorRegistry, IndicatorSpec, write_observations
 from smi.errors import InputError
+from smi.normalize import load_normalized
+from smi.pca import ComponentSelection, Spectrum
 from smi.scoring import PercentileMethod
 
 META3 = """\
@@ -141,7 +145,7 @@ def test_cli_exit_one_on_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing_loadings", "directory_data", "latin1_gini",
-                                  "normalized_above_one"])
+                                  "normalized_above_one", "ragged_loadings"])
 def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     meta = tmp_path / "indicators.csv"
     meta.write_text(META2_POSITIVE, encoding="utf-8")
@@ -157,6 +161,10 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
         bad = tmp_path / "a_directory"
         bad.mkdir()
         args = [*run_args[:2], str(bad), *run_args[3:]]
+    elif case == "ragged_loadings":
+        bad = tmp_path / "loadings.csv"
+        bad.write_text("indicator_id,PC1\na,0.7\nb\n", encoding="utf-8")
+        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(norm)]
     elif case == "latin1_gini":
         bad = tmp_path / "gini.csv"
         bad.write_bytes(b"state,gini\nB\xe9ziers,0.31\n")
@@ -170,6 +178,8 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     assert "Traceback" not in result.stderr
     assert re.match(rf"error: (file not found: )?{re.escape(str(bad))}", result.stderr), \
         result.stderr
+    if case == "ragged_loadings":
+        assert result.stderr == f"error: {bad}: row 3: expected 2 fields, got 1\n"
 
 
 def test_zero_weight_pillar_warned_once(data_dir, tmp_path):
@@ -284,6 +294,39 @@ def test_normalize_subcommand_idempotent_bytes(tmp_path):
     bytes1 = (tmp_path / "out1" / "normalized.csv").read_bytes()
     bytes2 = (tmp_path / "out2" / "normalized.csv").read_bytes()
     assert bytes1 == bytes2
+
+
+# floats whose shortest text is unusual: signed zero, the smallest
+# subnormal, a sum that is not 0.3, a repeating fraction, just below 1
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1 - 2.0 ** -53]
+
+
+def test_handoff_files_round_trip_bitwise(tmp_path):
+    # each full-precision handoff file reads back the exact float64 bits
+    registry2 = IndicatorRegistry(specs=tuple(
+        IndicatorSpec(id=i, name=i, pillar="Health", direction=Direction.POSITIVE)
+        for i in ("a", "b")))
+    values = np.array(AWKWARD_FLOATS).reshape(3, 2)
+    write_observations(DataMatrix(states=("A", "B", "C"), values=values, registry=registry2),
+                       tmp_path / "normalized.csv")
+    again = load_normalized(tmp_path / "normalized.csv", registry2)
+    assert again.values.tobytes() == values.tobytes()
+
+    wide_floats = np.array([*AWKWARD_FLOATS, 1e16, -1e-300])
+    registry8 = IndicatorRegistry(specs=tuple(
+        IndicatorSpec(id=f"x{j}", name=f"x{j}", pillar="Health", direction=Direction.POSITIVE)
+        for j in range(len(wide_floats))))
+    loadings = np.column_stack([wide_floats, wide_floats[::-1]])
+    smi.cli.write_loadings(tmp_path / "loadings.csv", loadings, registry8.ids)
+    assert smi.cli.read_loadings(tmp_path / "loadings.csv", registry8).tobytes() == \
+        loadings.tobytes()
+    spectrum = Spectrum(eigenvalues=wide_floats, eigenvectors=np.eye(len(wide_floats)))
+    everything = ComponentSelection(selected=list(range(len(wide_floats))),
+                                    explained_variance_ratio=1.0,
+                                    threshold_count=len(wide_floats), extended=False)
+    smi.cli.write_spectrum(tmp_path / "spectrum.csv", spectrum, everything)
+    eigenvalues = smi.cli.read_spectrum(tmp_path / "spectrum.csv", registry8)
+    assert np.array(eigenvalues).tobytes() == wide_floats.tobytes()
 
 
 def test_style_respects_no_color_env(monkeypatch):

@@ -169,6 +169,15 @@ def test_observations_reports_missing_and_extra_columns(tmp_path, small_registry
     assert "unexpected columns: bogus" in joined
 
 
+def test_observations_misnamed_state_column_is_the_only_problem(tmp_path, small_registry):
+    # the indicator columns are right, so only the first column is reported
+    path = tmp_path / "obs.csv"
+    path.write_text("region,le,abr,mys\nA,1,2,3\nB,4,5,6\nC,7,8,9\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_observations(path, small_registry)
+    assert exc.value.errors == [f"{path}: first header column must be 'state', got 'region'"]
+
+
 def test_observations_cell_problems_name_state_and_indicator(tmp_path, small_registry):
     path = tmp_path / "obs.csv"
     path.write_text(

@@ -111,6 +111,11 @@ def test_eigendecompose_identity():
 def test_eigendecompose_diagonal_sorting():
     spec = eigendecompose(np.array([[2.0, 0.0], [0.0, 3.0]]))
     assert list(spec.eigenvalues) == [3.0, 2.0]
+    # a 1 x 1 matrix has no off-diagonal entry at all
+    spec = eigendecompose(np.array([[-4.5]]))
+    assert spec.eigenvalues.tolist() == [-4.5]
+    assert spec.eigenvectors.tolist() == [[1.0]]
+    assert spec.sweeps == 0 and spec.off_diagonal_norm == 0.0
 
 
 def test_eigendecompose_hand_two_by_two():
@@ -148,15 +153,24 @@ def test_eigendecompose_reconstructs_input():
     assert np.allclose(rebuilt, a, atol=1e-10)
 
 
+def _polish_path_matrix() -> np.ndarray:
+    # at this scale the seed's rounding residual exceeds the absolute tol,
+    # so the Jacobi rotations must run
+    rng = np.random.default_rng(13)
+    a = rng.normal(0, 1, (12, 12))
+    return 1e6 * (a + a.T) / 2.0
+
+
 def test_eigendecompose_is_bit_deterministic():
     rng = np.random.default_rng(10)
     a = rng.normal(0, 1, (9, 9))
-    a = (a + a.T) / 2.0
-    first = eigendecompose(a)
-    second = eigendecompose(a)
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-    assert first.sweeps == second.sweeps
+    for m in ((a + a.T) / 2.0, _polish_path_matrix()):
+        first = eigendecompose(m)
+        second = eigendecompose(m)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+        assert first.sweeps == second.sweeps
+        assert first.off_diagonal_norm == second.off_diagonal_norm
 
 
 def test_eigendecompose_input_checks():
@@ -183,11 +197,7 @@ def test_eigendecompose_nonconvergence_raises_with_residual():
 
 
 def test_eigendecompose_polishes_when_seed_misses_tol():
-    # at this scale the seed's rounding residual exceeds the absolute tol,
-    # so the Jacobi rotations must run and bring it below
-    rng = np.random.default_rng(13)
-    a = rng.normal(0, 1, (12, 12))
-    a = 1e6 * (a + a.T) / 2.0
+    a = _polish_path_matrix()
     spec = eigendecompose(a)
     assert spec.sweeps >= 1
     assert spec.off_diagonal_norm < 1e-12
@@ -196,6 +206,27 @@ def test_eigendecompose_polishes_when_seed_misses_tol():
         1e-9 * float(np.max(np.abs(expected))))
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
     assert np.allclose(rebuilt, a, rtol=0.0, atol=1e-8 * float(np.max(np.abs(a))))
+    # the rotations keep the eigenvectors orthonormal
+    gram = spec.eigenvectors.T @ spec.eigenvectors
+    assert float(np.max(np.abs(gram - np.eye(12)))) <= 1e-12
+
+
+def test_eigendecompose_converges_from_an_identity_seed(monkeypatch):
+    # with no help from LAPACK the rotations alone must diagonalise the
+    # matrix, as the unseeded Jacobi method does
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, np.eye(len(m))))
+    rng = np.random.default_rng(14)
+    a = rng.normal(0, 1, (10, 10))
+    a = (a + a.T) / 2.0
+    spec = eigendecompose(a)
+    assert spec.sweeps >= 3
+    assert spec.off_diagonal_norm < 1e-12
+    monkeypatch.undo()
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-12)
+    rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
+    assert np.allclose(rebuilt, a, rtol=0.0, atol=1e-12)
+    gram = spec.eigenvectors.T @ spec.eigenvectors
+    assert float(np.max(np.abs(gram - np.eye(10)))) <= 1e-12
 
 
 def test_eigendecompose_handles_rank_deficiency():
