@@ -47,6 +47,7 @@ from .dataset import (
     GiniTable,
     IndicatorRegistry,
     _INDICATOR_KEY,
+    _field,
     _keyed_rows,
     _read_rows,
     _write_rows,
@@ -127,8 +128,8 @@ class RunConfig:
         return out
 
 
-def _fixed(value: float) -> str:
-    return f"{value:.{PRESENTATION_DECIMALS}f}"
+# the text of one presentation cell; a row of them is one % on a joined format
+_FIXED = f"%.{PRESENTATION_DECIMALS}f"
 
 
 def _write_json(path: Path, obj) -> None:
@@ -138,15 +139,17 @@ def _write_json(path: Path, obj) -> None:
 
 
 def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
+    line = ",".join([_FIXED] * matrix.shape[1])
     _write_rows(path, ["indicator_id", *ids],
-                ([ind_id, *map(_fixed, row)] for ind_id, row in zip(ids, matrix.tolist())))
+                (_field(ind_id) + "," + line % tuple(row)
+                 for ind_id, row in zip(ids, matrix.tolist())))
 
 
 def write_spectrum(path: Path, spectrum: Spectrum, selection: ComponentSelection) -> None:
     total = spectrum.total_variance
     chosen = set(selection.selected)
     _write_rows(path, ["component", "eigenvalue", "explained_variance_ratio", "selected"],
-                ([j + 1, value, value / total, int(j in chosen)]
+                (f"{j + 1},{value!r},{value / total!r},{int(j in chosen)}"
                  for j, value in enumerate(spectrum.eigenvalues.tolist())))
 
 
@@ -182,7 +185,8 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
     _write_rows(path, ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))],
-                ([ind_id, *row] for ind_id, row in zip(ids, loadings.tolist())))
+                (_field(ind_id) + "," + ",".join(map(repr, row))
+                 for ind_id, row in zip(ids, loadings.tolist())))
 
 
 def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
@@ -204,12 +208,13 @@ def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
 
 def write_weights(path: Path, weights: np.ndarray, ids) -> None:
     _write_rows(path, ["indicator_id", "weight"],
-                ([ind_id, _fixed(w)] for ind_id, w in zip(ids, weights.tolist())))
+                (_field(ind_id) + "," + _FIXED % w for ind_id, w in zip(ids, weights.tolist())))
 
 
 def write_scores(path: Path, scores: list[StateScore]) -> None:
     _write_rows(path, ["state", "smi", "rank", "category"],
-                ([s.state, _fixed(s.smi), s.rank, s.category.value] for s in scores))
+                (f"{_field(s.state)},{_FIXED % s.smi},{s.rank},{s.category.value}"
+                 for s in scores))
 
 
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
@@ -320,11 +325,16 @@ def run(config: RunConfig) -> dict:
     _write_score_stage(out_dir, registry, weights, ranked)
     _write_json(out_dir / "scenarios.json", scenarios)
     _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
-                ([s, _fixed(g), _fixed(v)] for s, g, v in scatter))
+                (f"{_field(s)},{_FIXED % g},{_FIXED % v}" for s, g, v in scatter))
+    # every state and pillar name recurs across pillars.csv, so each is quoted once
+    label = {text: _field(text) for text in (*norm.states, *(spec.pillar for spec in registry))}
+    pillar_line = f"%s,%s,{_FIXED},%s"
     _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-                ([s, p, _fixed(v), str(best).lower()] for s, p, v, best in pillars))
+                (pillar_line % (label[s], label[p], v, "true" if best else "false")
+                 for s, p, v, best in pillars))
 
     total_variance = spectrum.total_variance
+    chosen = set(selection.selected)
     report = {
         "config": config.as_dict(),
         # a constant column stops the run in validate_matrix, so none is left to flag
@@ -341,7 +351,7 @@ def run(config: RunConfig) -> dict:
                     "component": j + 1,
                     "eigenvalue": float(value),
                     "explained_variance_ratio": float(value) / total_variance,
-                    "selected": j in set(selection.selected),
+                    "selected": j in chosen,
                 }
                 for j, value in enumerate(spectrum.eigenvalues)
             ],

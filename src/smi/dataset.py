@@ -1,13 +1,14 @@
-"""The input layer: domain model, the one CSV reader and writer, and the input rules.
+"""The input layer: domain model, the one CSV reader, and the input rules.
 
 Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
 opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
-empty file into an InputError naming it, and every CSV it writes is
-opened by _write_rows. Loaders collect every problem they find and
-raise a single InputError listing all of them, with 1-based row numbers
-(the header is row 1).
+empty file into an InputError naming it. Every CSV it writes is opened
+by _write_rows, which writes lines each writer has already formatted,
+with labels quoted by _field. Loaders collect every problem they find
+and raise a single InputError listing all of them, with 1-based row
+numbers (the header is row 1).
 """
 
 from __future__ import annotations
@@ -161,16 +162,25 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     return rows
 
 
-def _write_rows(path: str | Path, header: list[str], rows) -> None:
-    """Write a CSV file: the header, then the rows.
+def _field(text: str) -> str:
+    """A label as csv.writer writes it: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    A float cell is written as str(float), the shortest text that reads
-    back to the same float, so full-precision files round-trip exactly.
+
+def _write_rows(path: str | Path, header: list[str], lines) -> None:
+    """Write a CSV file: the header cells, then lines the caller has formatted.
+
+    Each line is one row of comma-joined cells, without its line end;
+    labels in it must already have gone through _field. Lines end in
+    CRLF, as csv.writer ends them. Writers give a full-precision float
+    cell as repr(float), the shortest text that reads back to the same
+    float, so handoff files round-trip exactly.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_field, header)) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problems: list[str]):
@@ -317,10 +327,9 @@ def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
     A constant column has no min-max rescaling: InputError lists every
     constant column at once.
     """
-    ranges = {}
-    for j, ind_id in enumerate(matrix.registry.ids):
-        col = matrix.values[:, j]
-        ranges[ind_id] = (float(np.min(col)), float(np.max(col)))
+    values = matrix.values
+    ranges = dict(zip(matrix.registry.ids,
+                      zip(values.min(axis=0).tolist(), values.max(axis=0).tolist())))
     constant = [ind_id for ind_id, (lo, hi) in ranges.items() if lo == hi]
     if constant:
         raise InputError([
@@ -337,4 +346,5 @@ def write_observations(matrix, path: str | Path) -> None:
     converted one at a time, so no second copy of the matrix is held.
     """
     _write_rows(path, ["state", *matrix.registry.ids],
-                ([state, *row.tolist()] for state, row in zip(matrix.states, matrix.values)))
+                (_field(state) + "," + ",".join(map(repr, row.tolist()))
+                 for state, row in zip(matrix.states, matrix.values)))

@@ -34,10 +34,28 @@ def normalize_column(values, direction: Direction, name: str = "<column>") -> np
 
 
 def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
-    """Rescale every column of a validated matrix by its indicator's direction."""
-    out = np.empty_like(matrix.values)
-    for j, spec in enumerate(matrix.registry):
-        out[:, j] = normalize_column(matrix.values[:, j], spec.direction, name=spec.id)
+    """Rescale every column of a validated matrix by its indicator's direction.
+
+    normalize_column's elementwise operations on all columns at once, so
+    each entry is bitwise what normalize_column gives; the first constant
+    column in registry order raises DegenerateColumnError.
+    """
+    values = matrix.values
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    span = hi - lo
+    constant = np.flatnonzero(span == 0.0)
+    if constant.size:
+        raise DegenerateColumnError(matrix.registry[int(constant[0])].id)
+    negative = [j for j, d in enumerate(matrix.registry.directions) if d is Direction.NEGATIVE]
+    # x - lo, or hi - x in negative columns, then / span; each buffer is
+    # made once and worked in place, since on a tall, narrow matrix a fresh
+    # one costs more than the arithmetic
+    out = values - lo
+    flipped = values[:, negative]
+    np.subtract(hi[negative], flipped, out=flipped)
+    out[:, negative] = flipped
+    out /= span
     return DataMatrix(states=matrix.states, values=out, registry=matrix.registry)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import inspect
 import itertools
@@ -15,7 +16,8 @@ import pytest
 
 import smi.cli
 from smi.cli import RunConfig, _style, main, run
-from smi.dataset import DataMatrix, Direction, IndicatorRegistry, IndicatorSpec, write_observations
+from smi.dataset import (
+    DataMatrix, Direction, IndicatorRegistry, IndicatorSpec, _field, write_observations)
 from smi.errors import InputError
 from smi.normalize import load_normalized
 from smi.pca import ComponentSelection, Spectrum
@@ -469,3 +471,139 @@ def test_chained_stages_warn_like_single_run(data_dir, tmp_path, case, stage, wa
     no_gini = "warning: no gini file given; every state is unclassified in the scenario table\n"
     assert run_err.endswith(no_gini)
     assert "".join(err for _, err in errs.values()) == run_err[:-len(no_gini)]
+
+
+# labels csv.writer must quote (a comma and quotes, a newline) and one it
+# must leave alone (a leading space, which the loaders strip on reading)
+ODD_STATES = ('Jammu, "Kashmir"', "Dadra\nNagar Haveli", " Goa")
+ODD_ID = "life,exp"
+
+
+def _write_like_csv_writer(out, norm, stages, analysis=()) -> None:
+    """The CSV artifacts as csv.writer wrote them, cell for cell: the reference writers."""
+    corr, spectrum, selection, loadings, weights, ranked = stages
+    ids = norm.registry.ids
+    fixed = "{:.6f}".format
+    chosen = set(selection.selected)
+    total = spectrum.total_variance
+
+    def dump(name, header, rows):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    dump("normalized.csv", ["state", *ids],
+         ([state, *row.tolist()] for state, row in zip(norm.states, norm.values)))
+    dump("correlation.csv", ["indicator_id", *ids],
+         ([ind_id, *map(fixed, row)] for ind_id, row in zip(ids, corr.tolist())))
+    dump("spectrum.csv", ["component", "eigenvalue", "explained_variance_ratio", "selected"],
+         ([j + 1, value, value / total, int(j in chosen)]
+          for j, value in enumerate(spectrum.eigenvalues.tolist())))
+    dump("loadings.csv", ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))],
+         ([ind_id, *row] for ind_id, row in zip(ids, loadings.tolist())))
+    dump("weights.csv", ["indicator_id", "weight"],
+         ([ind_id, fixed(w)] for ind_id, w in zip(ids, weights.tolist())))
+    dump("scores.csv", ["state", "smi", "rank", "category"],
+         ([s.state, fixed(s.smi), s.rank, s.category.value] for s in ranked))
+    if analysis:
+        scatter, pillars = analysis
+        dump("scatter.csv", ["state", "gini", "smi"],
+             ([s, fixed(g), fixed(v)] for s, g, v in scatter))
+        dump("pillars.csv", ["state", "pillar", "score", "is_best"],
+             ([s, p, fixed(v), str(best).lower()] for s, p, v, best in pillars))
+
+
+def _same_files(new, old) -> None:
+    names = sorted(path.name for path in old.iterdir())
+    assert sorted(path.name for path in new.iterdir() if path.suffix == ".csv") == names
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
+    ids = (ODD_ID, " lead", 'q"uote', "plain")
+    registry = IndicatorRegistry(specs=tuple(
+        IndicatorSpec(id=i, name=i, pillar="Health", direction=Direction.POSITIVE) for i in ids))
+    values = np.random.default_rng(3).random((6, 4))
+    values[:, 0] = AWKWARD_FLOATS
+    norm = DataMatrix(states=(*ODD_STATES, "A", "B", "C"), values=values, registry=registry)
+    config = RunConfig(data="", meta="", out_dir="")
+    corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
+    weights, _, _, ranked = smi.cli._score_stage(
+        norm, loadings, spectrum.eigenvalues[selection.selected], config, [])
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    write_observations(norm, new / "normalized.csv")
+    smi.cli._write_pca_stage(new, registry, corr, spectrum, selection, loadings)
+    smi.cli._write_score_stage(new, registry, weights, ranked)
+    _write_like_csv_writer(old, norm, (corr, spectrum, selection, loadings, weights, ranked))
+    _same_files(new, old)
+
+
+def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_dir, tmp_path):
+    # the fixture with two states renamed and one indicator id holding a comma
+    states = ODD_STATES[:2]
+    renamed = {"Assam": states[0], "Bihar": states[1], "life_exp": ODD_ID}
+    for name in ("observations_synthetic.csv", "indicators.csv", "gini.csv"):
+        with open(data_dir / name, newline="", encoding="utf-8") as fh:
+            rows = [[renamed.get(cell, cell) for cell in row] for row in csv.reader(fh)]
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    config = base_config(tmp_path, tmp_path, out_dir=str(tmp_path / "run"))
+    run(config)
+
+    registry = smi.cli.load_indicator_metadata(config.meta)
+    _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry))
+    corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
+    weights, scores, _, ranked = smi.cli._score_stage(
+        norm, loadings, spectrum.eigenvalues[selection.selected], config, [])
+    _, scatter, pillars = smi.cli._analysis_stage(
+        norm, weights, scores, ranked, smi.cli.load_gini(config.gini), config, [])
+    old = tmp_path / "old"
+    old.mkdir()
+    _write_like_csv_writer(old, norm, (corr, spectrum, selection, loadings, weights, ranked),
+                           (scatter, pillars))
+    _same_files(tmp_path / "run", old)
+
+    chained = tmp_path / "chained"
+    assert _chain(tmp_path, chained) == [0, 0, 0]
+    for name in ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv",
+                 "weights.csv", "scores.csv"):
+        assert (chained / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+    with open(chained / "scores.csv", newline="", encoding="utf-8") as fh:
+        assert set(states) <= {row[0] for row in csv.reader(fh)}
+    with open(chained / "weights.csv", newline="", encoding="utf-8") as fh:
+        assert ODD_ID in {row[0] for row in csv.reader(fh)}
+
+
+def test_field_quotes_like_csv_writer():
+    mismatched = []
+    for cp in [*range(0x3000), 0x85, 0x2028, 0x2029, 0xFEFF]:
+        ch = chr(cp)
+        for text in (ch, f"ab{ch}cd", f" {ch} "):
+            buf = io.StringIO()
+            csv.writer(buf).writerow([text, "x"])
+            if _field(text) + ",x\r\n" != buf.getvalue():
+                mismatched.append((hex(cp), text))
+    assert mismatched == []
+
+
+# sha256 of the artifacts whose bytes do not depend on the BLAS build, as
+# the csv.writer-based writers wrote them on the fixture with default flags
+FIXTURE_DIGESTS = {
+    "normalized.csv": "7dff717420b12530634982cae5bd32c277398a6dcf703241290528a237345d0b",
+    "correlation.csv": "d7208aff65bc7c1c8e4629d440c6675798166ecce8204d4fc2ad300959ac5ff7",
+    "weights.csv": "fb55af49e3c156e883b03ec0c4e167c2508bf2cdfe8a81a128d6e83b1a2a4be1",
+    "scores.csv": "6d856e3c9ce77856a216afa9100b2911085cef045f4552d79ce799b9ca9dcce6",
+    "scenarios.json": "c50c0e1cd18334ef239651c649264b3cd09e0c69c472e3cd34848c5c6e71428d",
+    "scatter.csv": "3e546105942745ba9b937ec7587419691705173a7f153caa05be60a4e94ddd55",
+    "pillars.csv": "966521c8a8712c5ef17d6e6847f8a64999e533c461cf5944b4fd3f6024e175af",
+}
+
+
+def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path):
+    run(base_config(data_dir, tmp_path))
+    for name, digest in FIXTURE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name

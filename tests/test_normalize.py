@@ -75,6 +75,33 @@ def test_matrix_propagates_degenerate_column():
     assert exc.value.indicator == "x1"
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (22, 31), (22, 120), (400, 7)])
+def test_matrix_is_bitwise_normalize_column_on_each_column(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    directions = [Direction.NEGATIVE if rng.random() < 0.4 else Direction.POSITIVE
+                  for _ in range(shape[1])]
+    values = np.abs(rng.normal(50.0, 20.0, shape))
+    if shape[0] > 3:
+        # a tied, signed-zero minimum and a tied maximum
+        values[:2, 0] = -0.0
+        values[-2:, -1] = float(np.max(values[:, -1])) + 1.0
+    matrix = DataMatrix(states=tuple(f"s{i}" for i in range(shape[0])), values=values,
+                        registry=_registry(directions))
+    expected = np.column_stack([normalize_column(values[:, j], d)
+                                for j, d in enumerate(directions)])
+    assert normalize_matrix(matrix).values.tobytes() == expected.tobytes()
+
+
+def test_matrix_names_the_first_constant_column():
+    registry = _registry([Direction.POSITIVE, Direction.NEGATIVE, Direction.NEGATIVE])
+    matrix = DataMatrix(states=("A", "B", "C"),
+                        values=np.array([[1.0, 7.0, 2.0], [2.0, 7.0, 2.0], [3.0, 7.0, 2.0]]),
+                        registry=registry)
+    with pytest.raises(DegenerateColumnError) as exc:
+        normalize_matrix(matrix)
+    assert exc.value.indicator == "x1"
+
+
 def test_monotonicity():
     rng = np.random.default_rng(11)
     for _ in range(50):

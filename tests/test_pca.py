@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -221,6 +222,12 @@ def test_eigendecompose_converges_from_an_identity_seed(monkeypatch):
     spec = eigendecompose(a)
     assert spec.sweeps >= 3
     assert spec.off_diagonal_norm < 1e-12
+    # an identity seed makes V^T A V exact, and every rotation is elementwise
+    # float arithmetic plus math.sqrt, so the polish's bits do not depend on
+    # the BLAS build: any change to its arithmetic shows here
+    assert spec.sweeps == 5
+    assert hashlib.sha256(spec.eigenvalues.tobytes() + spec.eigenvectors.tobytes()).hexdigest() \
+        == "742f8f520ccbd35486634428238b6f5208b8bca12993222065a83180e427ddee"
     monkeypatch.undo()
     assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-12)
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
