@@ -14,8 +14,8 @@ precision; presentation dumps are rounded to 6 decimals), and one
 builds one RunConfig, whose field defaults are the flag defaults, and
 validates it before any work.
 
-Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
-failure.
+Exit codes: 0 success, 1 invalid input or configuration or an output
+that cannot be written, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .dataset import (
     GiniTable,
     IndicatorRegistry,
     _INDICATOR_KEY,
+    _check_header,
     _field,
-    _keyed_rows,
+    _numeric_rows,
     _read_rows,
     _write_rows,
     load_gini,
@@ -145,42 +146,41 @@ def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
                  for ind_id, row in zip(ids, matrix.tolist())))
 
 
+SPECTRUM_HEADER = ["component", "eigenvalue", "explained_variance_ratio", "selected"]
+
+
 def write_spectrum(path: Path, spectrum: Spectrum, selection: ComponentSelection) -> None:
     total = spectrum.total_variance
-    chosen = set(selection.selected)
-    _write_rows(path, ["component", "eigenvalue", "explained_variance_ratio", "selected"],
-                (f"{j + 1},{value!r},{value / total!r},{int(j in chosen)}"
+    k = selection.count
+    _write_rows(path, SPECTRUM_HEADER,
+                (f"{j + 1},{value!r},{value / total!r},{int(j < k)}"
                  for j, value in enumerate(spectrum.eigenvalues.tolist())))
 
 
 def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     """The selected eigenvalues of a spectrum.csv, as the pca stage writes it.
 
-    The file must hold one eigenvalue per registry indicator and select a
-    non-empty leading prefix PC1..PCk.
+    Under SPECTRUM_HEADER, the rows must be components 1..p in file order,
+    one per registry indicator, with finite numbers; the rows flagged
+    selected (non-zero) must be a non-empty leading prefix PC1..PCk.
     """
     rows = _read_rows(path)
-    if rows[0][:2] != ["component", "eigenvalue"]:
-        raise InputError(f"{path}: not a spectrum.csv file")
-    eigenvalues = []
-    selected = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            eigenvalues.append(float(row[1]))
-            if int(row[3]):
-                selected.append(int(row[0]) - 1)
-        except (ValueError, IndexError):
-            raise InputError(f"{path}: malformed row {lineno}") from None
-    if len(eigenvalues) != len(registry):
+    _check_header(path, rows, SPECTRUM_HEADER)
+    problems: list[str] = []
+    names, values = _numeric_rows(rows, SPECTRUM_HEADER[1:], ("component", "component"), problems)
+    if problems:
+        raise InputError([f"{path}: {problem}" for problem in problems])
+    if len(values) != len(registry):
         raise InputError(
-            f"{path}: {len(eigenvalues)} eigenvalues for a registry of {len(registry)} indicators")
+            f"{path}: {len(values)} eigenvalues for a registry of {len(registry)} indicators")
+    if names != [str(j + 1) for j in range(len(values))]:
+        raise InputError(f"{path}: components must be 1..{len(values)} in file order")
+    selected = [j for j, (_, _, flag) in enumerate(values) if flag]
     if not selected or selected != list(range(len(selected))):
         raise InputError(
             f"{path}: selected components must be a leading prefix PC1..PCk, got "
             + (", ".join(f"PC{j + 1}" for j in selected) or "none"))
-    return eigenvalues[:len(selected)]
+    return [eigenvalue for eigenvalue, _, _ in values[:len(selected)]]
 
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
@@ -190,20 +190,20 @@ def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
 
 
 def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
-    """The loading matrix of a loadings.csv, one row per registry indicator in order."""
+    """The p x k loadings of a loadings.csv, one finite row per registry indicator in order.
+
+    The header must be indicator_id,PC1..PCk, k taken from the file's width.
+    """
     rows = _read_rows(path)
-    if not rows[0] or rows[0][0] != "indicator_id":
-        raise InputError(f"{path}: not a loadings.csv file")
+    header = ["indicator_id", *(f"PC{j + 1}" for j in range(len(rows[0]) - 1))]
+    _check_header(path, rows, header)
     problems: list[str] = []
-    body = [row for _, _, row in _keyed_rows(rows, len(rows[0]), _INDICATOR_KEY, problems)]
+    names, values = _numeric_rows(rows, header[1:], _INDICATOR_KEY, problems)
     if problems:
         raise InputError([f"{path}: {problem}" for problem in problems])
-    if tuple(row[0] for row in body) != registry.ids:
+    if tuple(names) != registry.ids:
         raise InputError(f"{path}: indicator rows do not match the registry")
-    try:
-        return np.array([[float(cell) for cell in row[1:]] for row in body], dtype=np.float64)
-    except ValueError:
-        raise InputError(f"{path}: non-numeric loading value") from None
+    return np.array(values, dtype=np.float64)
 
 
 def write_weights(path: Path, weights: np.ndarray, ids) -> None:
@@ -242,7 +242,7 @@ def _pca_stage(norm: DataMatrix, config: RunConfig, warnings: list[str]):
         warnings.append(
             f"variance target {config.variance_target} not met by the "
             f"{selection.threshold_count} components above eigenvalue "
-            f"{config.eigen_threshold}; extended to {len(selection.selected)} components")
+            f"{config.eigen_threshold}; extended to {selection.count} components")
     return corr, spectrum, selection, loading_matrix(spectrum, selection, config.loading_convention)
 
 
@@ -316,7 +316,7 @@ def run(config: RunConfig) -> dict:
     ranges, norm = _normalize_stage(matrix)
     corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
     weights, scores, thresholds, ranked = _score_stage(
-        norm, loadings, spectrum.eigenvalues[selection.selected], config, warnings)
+        norm, loadings, spectrum.eigenvalues[:selection.count], config, warnings)
     scenarios, scatter, pillars = _analysis_stage(
         norm, weights, scores, ranked, gini, config, warnings)
 
@@ -334,7 +334,6 @@ def run(config: RunConfig) -> dict:
                  for s, p, v, best in pillars))
 
     total_variance = spectrum.total_variance
-    chosen = set(selection.selected)
     report = {
         "config": config.as_dict(),
         # a constant column stops the run in validate_matrix, so none is left to flag
@@ -351,7 +350,7 @@ def run(config: RunConfig) -> dict:
                     "component": j + 1,
                     "eigenvalue": float(value),
                     "explained_variance_ratio": float(value) / total_variance,
-                    "selected": j in chosen,
+                    "selected": j < selection.count,
                 }
                 for j, value in enumerate(spectrum.eigenvalues)
             ],
@@ -363,7 +362,7 @@ def run(config: RunConfig) -> dict:
             "eigen_threshold": config.eigen_threshold,
             "variance_target": config.variance_target,
             "threshold_count": selection.threshold_count,
-            "selected_count": len(selection.selected),
+            "selected_count": selection.count,
             "explained_variance_ratio": selection.explained_variance_ratio,
             "extended": selection.extended,
         },
@@ -449,7 +448,7 @@ def cmd_pca(args) -> int:
     warnings: list[str] = []
     corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
-    print(f"selected {len(selection.selected)} of {len(spectrum.eigenvalues)} components "
+    print(f"selected {selection.count} of {len(spectrum.eigenvalues)} components "
           f"({selection.explained_variance_ratio:.1%} of variance)")
     _warn(warnings)
     return 0
@@ -552,6 +551,12 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _print_errors("numerical failure", exc)
         return 2
+    except OSError as exc:
+        # _read_rows turns every input's OSError into an InputError, so this
+        # is an output that cannot be made or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        _print_errors("error", InputError(f"{where}cannot write output ({exc.strerror or exc})"))
+        return 1
 
 
 def entrypoint() -> None:

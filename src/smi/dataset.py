@@ -4,11 +4,13 @@ Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
 opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
-empty file into an InputError naming it. Every CSV it writes is opened
-by _write_rows, which writes lines each writer has already formatted,
-with labels quoted by _field. Loaders collect every problem they find
-and raise a single InputError listing all of them, with 1-based row
-numbers (the header is row 1).
+empty file into an InputError naming it. Every reader, the pca stage's
+handoff readers included, applies the rules kept here: _check_header,
+_keyed_rows (the row rule) and _numeric_rows (the cell rule). Every CSV
+it writes is opened by _write_rows, which writes lines each writer has
+already formatted, with labels quoted by _field. Loaders collect every
+problem they find and raise a single InputError listing all of them,
+with 1-based row numbers (the header is row 1).
 """
 
 from __future__ import annotations
@@ -210,6 +212,31 @@ def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problem
         yield lineno, name, row
 
 
+def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems: list[str]):
+    """(names, values) of the _keyed_rows of a table whose key column is followed by columns.
+
+    The cell rule: each cell after the key must be a finite float. One that
+    is not is reported in problems, naming its row, key and column.
+    """
+    names: list[str] = []
+    values: list[list[float]] = []
+    for lineno, name, row in _keyed_rows(rows, 1 + len(columns), key, problems):
+        cells = []
+        for column, cell in zip(columns, row[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                problems.append(f"row {lineno}: non-numeric value {cell!r} for ({name}, {column})")
+                continue
+            if not math.isfinite(v):
+                problems.append(f"row {lineno}: non-finite value {cell!r} for ({name}, {column})")
+                continue
+            cells.append(v)
+        names.append(name)
+        values.append(cells)
+    return names, values
+
+
 def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
     if [c.strip() for c in rows[0]] != header:
         raise InputError(f"{path}: header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
@@ -259,38 +286,21 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
         columns = header[1:]
         missing = [i for i in ids if i not in columns]
         extra = [c for c in columns if c not in ids]
+        repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
         if header and header[0] != "state":
             problems.append(f"first header column must be 'state', got {header[0]!r}")
         if missing:
             problems.append(f"missing indicator columns: {', '.join(missing)}")
         if extra:
             problems.append(f"unexpected columns: {', '.join(extra)}")
+        if repeated:
+            problems.append(f"duplicate columns: {', '.join(repeated)}")
         if not problems:
             problems.append("indicator columns are not in registry order")
         raise InputError([f"{path}: {p}" for p in problems])
 
     problems = []
-    states: list[str] = []
-    data: list[list[float]] = []
-    for lineno, state, row in _keyed_rows(rows, len(expected), _STATE_KEY, problems):
-        values = []
-        bad = False
-        for ind_id, cell in zip(ids, row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                problems.append(f"row {lineno}: non-numeric value {cell!r} for ({state}, {ind_id})")
-                bad = True
-                continue
-            if not math.isfinite(v):
-                problems.append(f"row {lineno}: non-finite value {cell!r} for ({state}, {ind_id})")
-                bad = True
-                continue
-            values.append(v)
-        if not bad:
-            states.append(state)
-            data.append(values)
-
+    states, data = _numeric_rows(rows, ids, _STATE_KEY, problems)
     if not problems and len(states) < MIN_STATES:
         problems.append(f"{path}: found {len(states)} states, need at least {MIN_STATES}")
     if problems:

@@ -54,14 +54,15 @@ class Spectrum:
 
 @dataclass
 class ComponentSelection:
-    """Prefix of components kept for weighting.
+    """The leading prefix PC1..PCk of components kept for weighting.
 
-    threshold_count is how many the eigenvalue cutoff alone kept;
-    extended flags that the prefix grew further to reach the variance
-    target (the two retention criteria disagreed).
+    count is k, at least 1: component j (0-based) is selected when
+    j < count. threshold_count is how many the eigenvalue cutoff alone
+    kept; extended flags that the prefix grew further to reach the
+    variance target (the two retention criteria disagreed).
     """
 
-    selected: list[int]
+    count: int
     explained_variance_ratio: float
     threshold_count: int
     extended: bool
@@ -226,11 +227,11 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
     (even below the threshold) until the target is met; the selection
     records that the extension fired.
     """
-    eigenvalues = spectrum.eigenvalues
+    eigenvalues = spectrum.eigenvalues.tolist()
     p = len(eigenvalues)
     if p == 0:
         raise InputError("empty spectrum")
-    total = _ordered_sum(eigenvalues)
+    total = spectrum.total_variance
     if total <= 0.0:
         raise NumericalError("total variance is not positive, cannot select components")
 
@@ -242,17 +243,17 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
             break
     k = max(threshold_count, 1)
 
-    def ratio(count: int) -> float:
-        return _ordered_sum(eigenvalues[:count]) / total
-
+    # a running prefix sum: the same additions, in the same order, as
+    # _ordered_sum(eigenvalues[:k]) for every k it passes through
+    explained = _ordered_sum(eigenvalues[:k])
     extended = False
-    if threshold_count > 0:
-        while ratio(k) < variance_target and k < p:
-            k += 1
-            extended = True
+    while threshold_count and explained / total < variance_target and k < p:
+        explained += eigenvalues[k]
+        k += 1
+        extended = True
     return ComponentSelection(
-        selected=list(range(k)),
-        explained_variance_ratio=ratio(k),
+        count=k,
+        explained_variance_ratio=explained / total,
         threshold_count=threshold_count,
         extended=extended,
     )
@@ -260,17 +261,16 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
 
 def loading_matrix(spectrum: Spectrum, selection: ComponentSelection,
                    convention: LoadingConvention = LoadingConvention.UNIT_EIGENVECTOR) -> LoadingMatrix:
-    """Loadings of each indicator on the selected components (columns, descending eigenvalue).
+    """Loadings of each indicator on the selected prefix PC1..PCk (columns, descending eigenvalue).
 
     The default convention takes unit-eigenvector entries as loadings; the
     alternative scales each column by the square root of its eigenvalue.
     """
+    k = selection.count
     p = spectrum.eigenvectors.shape[0]
-    for idx in selection.selected:
-        if not (0 <= idx < p):
-            raise InputError(f"selected component {idx} out of range for spectrum of size {p}")
-    cols = spectrum.eigenvectors[:, selection.selected].copy()
+    if not 0 < k <= p:
+        raise InputError(f"selection of {k} components out of range for a spectrum of size {p}")
+    cols = spectrum.eigenvectors[:, :k].copy()
     if convention is LoadingConvention.SQRT_EIGENVALUE:
-        for pos, idx in enumerate(selection.selected):
-            cols[:, pos] *= math.sqrt(max(spectrum.eigenvalues[idx], 0.0))
+        cols *= np.sqrt(np.maximum(spectrum.eigenvalues[:k], 0.0))
     return cols

@@ -59,27 +59,24 @@ class StateScore:
 WeightVector = np.ndarray
 
 
-def compute_weights(loadings, eigenvalues) -> WeightVector:
+def compute_weights(loadings: np.ndarray, eigenvalues) -> WeightVector:
     """Weight each indicator by the eigenvalue-scaled sum of its absolute loadings.
 
-    W_i = sum_j |L_ij| * E_j over the selected components, accumulated one
-    component column at a time in component order, so results are
+    loadings is the p x k block of the selected components and
+    eigenvalues their k eigenvalues. W_i = sum_j |L_ij| * E_j, accumulated
+    one component column at a time in component order, so results are
     bit-reproducible and trivially sign-invariant under eigenvector flips.
     Eigenvalues within round-off below zero count as 0.
     """
-    l_matrix = np.asarray(loadings, dtype=np.float64)
-    if l_matrix.ndim == 1:
-        l_matrix = l_matrix[:, np.newaxis]
-    e_values = [float(e) for e in np.atleast_1d(np.asarray(eigenvalues, dtype=np.float64))]
-    if l_matrix.shape[1] != len(e_values):
-        raise InputError(
-            f"{l_matrix.shape[1]} loading columns for {len(e_values)} eigenvalues")
+    e_values = [float(e) for e in eigenvalues]
+    if loadings.shape[1] != len(e_values):
+        raise InputError(f"{loadings.shape[1]} loading columns for {len(e_values)} eigenvalues")
     for e in e_values:
         if e < -PSD_SLACK:
             raise NumericalError(f"eigenvalue {e} is negative beyond round-off")
     if not e_values:
-        return np.zeros(l_matrix.shape[0])
-    l_abs = np.abs(l_matrix)
+        return np.zeros(loadings.shape[0])
+    l_abs = np.abs(loadings)
     return _ordered_sum(l_abs[:, j] * max(e, 0.0) for j, e in enumerate(e_values))
 
 

@@ -318,10 +318,10 @@ def test_c10_latent_factor_dominates_weights():
     assert float(spectrum.eigenvalues[0]) > 4.0
 
     selection = select_components(spectrum)
-    assert 0 in selection.selected
+    assert selection.count >= 1
 
     loadings = loading_matrix(spectrum, selection)
-    eigenvalues = [float(spectrum.eigenvalues[j]) for j in selection.selected]
+    eigenvalues = spectrum.eigenvalues[:selection.count]
     weights = compute_weights(loadings, eigenvalues)
     top_five = set(np.argsort(-weights, kind="stable")[:5].tolist())
     assert top_five == {0, 1, 2, 3, 4}

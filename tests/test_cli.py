@@ -323,7 +323,7 @@ def test_handoff_files_round_trip_bitwise(tmp_path):
     assert smi.cli.read_loadings(tmp_path / "loadings.csv", registry8).tobytes() == \
         loadings.tobytes()
     spectrum = Spectrum(eigenvalues=wide_floats, eigenvectors=np.eye(len(wide_floats)))
-    everything = ComponentSelection(selected=list(range(len(wide_floats))),
+    everything = ComponentSelection(count=len(wide_floats),
                                     explained_variance_ratio=1.0,
                                     threshold_count=len(wide_floats), extended=False)
     smi.cli.write_spectrum(tmp_path / "spectrum.csv", spectrum, everything)
@@ -402,29 +402,85 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
 @pytest.mark.parametrize("edit, message", [
     ("swap_selection", "leading prefix"),
     ("drop_last_row", "31 indicators"),
+    ("nan_loading", "row 2: non-finite value 'nan' for (life_exp, PC1)"),
+    ("inf_eigenvalue", "row 2: non-finite value 'inf' for (1, eigenvalue)"),
+    ("pc10_first", "components must be 1..31 in file order"),
+    ("five_field_row", "row 6: expected 4 fields, got 5"),
+    ("misnamed_loadings_header", "header must be 'indicator_id,PC1,PC2,"),
 ])
 def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
     stages = tmp_path / "stages"
     assert _chain(data_dir, stages)[:2] == [0, 0]
-    spectrum = stages / "spectrum.csv"
-    with open(spectrum, newline="", encoding="utf-8") as fh:
+    handoff = stages / ("loadings.csv" if "loading" in edit else "spectrum.csv")
+    with open(handoff, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if edit == "swap_selection":
         # PC1 out, PC31 in: the selected count still matches the loading columns
         assert rows[1][3] == "1" and rows[31][3] == "0"
         rows[1][3], rows[31][3] = "0", "1"
-    else:
+    elif edit == "drop_last_row":
         rows.pop()
-    with open(spectrum, "w", newline="", encoding="utf-8") as fh:
+    elif edit in ("nan_loading", "inf_eigenvalue"):
+        rows[1][1] = edit[:3]
+    elif edit == "pc10_first":
+        # PC10 is not selected, so the selected component numbers are still 1..9
+        assert rows[10][:1] == ["10"] and rows[10][3] == "0"
+        rows.insert(1, rows.pop(10))
+    elif edit == "five_field_row":
+        rows[5].append("0")
+    else:
+        assert rows[0][2] == "PC2"
+        rows[0][2] = "PC3"
+    with open(handoff, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     out = tmp_path / "out"
     code, err = _main("score", "--normalized", str(stages / "normalized.csv"),
                       "--meta", str(data_dir / "indicators.csv"),
-                      "--loadings", str(stages / "loadings.csv"), "--spectrum", str(spectrum),
-                      "--out", str(out))
+                      "--loadings", str(stages / "loadings.csv"),
+                      "--spectrum", str(stages / "spectrum.csv"), "--out", str(out))
     assert code == 1
-    assert str(spectrum) in err and message in err
+    assert str(handoff) in err and message in err
     assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory"])
+def test_unusable_out_exits_one_naming_the_path(data_dir, tmp_path, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    out = {"out_is_a_file": a_file, "out_under_a_file": a_file / "out",
+           "artifact_is_a_directory": tmp_path / "out"}[case]
+    bad = out
+    if case == "artifact_is_a_directory":
+        bad = out / "normalized.csv"
+        bad.mkdir(parents=True)
+    result = run_cli("run", *_fixture_args(data_dir, out))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"error: {bad}: cannot write output (" in result.stderr, result.stderr
+
+
+def test_every_per_layer_function_runs(data_dir, tmp_path, monkeypatch):
+    # a per-layer metric whose function the pipeline stops calling would
+    # otherwise show only as a "not measured" line from the benchmark
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    pattern = re.compile(r"\w+\.(\w+)\.(?:ms|self_ms)")
+    names = [m.group(1) for m in map(pattern.fullmatch, (e["name"] for e in spec["per_layer"]))
+             if m]
+    assert len(names) == 27
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(smi.cli, name, counted(name, getattr(smi.cli, name)))
+    smi.cli.run(base_config(data_dir, tmp_path))
+    assert _chain(data_dir, tmp_path / "chained") == [0, 0, 0]
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 @pytest.mark.parametrize("basis, convention, method", list(itertools.product(
@@ -484,7 +540,6 @@ def _write_like_csv_writer(out, norm, stages, analysis=()) -> None:
     corr, spectrum, selection, loadings, weights, ranked = stages
     ids = norm.registry.ids
     fixed = "{:.6f}".format
-    chosen = set(selection.selected)
     total = spectrum.total_variance
 
     def dump(name, header, rows):
@@ -498,7 +553,7 @@ def _write_like_csv_writer(out, norm, stages, analysis=()) -> None:
     dump("correlation.csv", ["indicator_id", *ids],
          ([ind_id, *map(fixed, row)] for ind_id, row in zip(ids, corr.tolist())))
     dump("spectrum.csv", ["component", "eigenvalue", "explained_variance_ratio", "selected"],
-         ([j + 1, value, value / total, int(j in chosen)]
+         ([j + 1, value, value / total, int(j < selection.count)]
           for j, value in enumerate(spectrum.eigenvalues.tolist())))
     dump("loadings.csv", ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))],
          ([ind_id, *row] for ind_id, row in zip(ids, loadings.tolist())))
@@ -531,7 +586,7 @@ def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
     config = RunConfig(data="", meta="", out_dir="")
     corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
     weights, _, _, ranked = smi.cli._score_stage(
-        norm, loadings, spectrum.eigenvalues[selection.selected], config, [])
+        norm, loadings, spectrum.eigenvalues[:selection.count], config, [])
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
     old.mkdir()
@@ -558,7 +613,7 @@ def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_d
     _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry))
     corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
     weights, scores, _, ranked = smi.cli._score_stage(
-        norm, loadings, spectrum.eigenvalues[selection.selected], config, [])
+        norm, loadings, spectrum.eigenvalues[:selection.count], config, [])
     _, scatter, pillars = smi.cli._analysis_stage(
         norm, weights, scores, ranked, smi.cli.load_gini(config.gini), config, [])
     old = tmp_path / "old"

@@ -169,6 +169,19 @@ def test_observations_reports_missing_and_extra_columns(tmp_path, small_registry
     assert "unexpected columns: bogus" in joined
 
 
+def test_observations_reports_repeated_columns(tmp_path, small_registry):
+    path = tmp_path / "obs.csv"
+    path.write_text("state,le,abr,abr\nA,1,2,3\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_observations(path, small_registry)
+    assert exc.value.errors == [f"{path}: missing indicator columns: mys",
+                                f"{path}: duplicate columns: abr"]
+    path.write_text("state,le,abr,mys,mys\nA,1,2,3,3\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_observations(path, small_registry)
+    assert exc.value.errors == [f"{path}: duplicate columns: mys"]
+
+
 def test_observations_misnamed_state_column_is_the_only_problem(tmp_path, small_registry):
     # the indicator columns are right, so only the first column is reported
     path = tmp_path / "obs.csv"

@@ -252,7 +252,7 @@ def test_select_prefix_without_extension():
     spec = Spectrum(eigenvalues=np.array([3.1, 1.4, 0.3, 0.15, 0.05]),
                     eigenvectors=np.eye(5))
     sel = select_components(spec)
-    assert sel.selected == [0, 1]
+    assert sel.count == 2
     assert sel.threshold_count == 2
     assert not sel.extended
     assert sel.explained_variance_ratio == pytest.approx(0.9, abs=1e-12)
@@ -261,7 +261,7 @@ def test_select_prefix_without_extension():
 def test_select_flat_spectrum_keeps_minimum_prefix():
     spec = Spectrum(eigenvalues=np.ones(5), eigenvectors=np.eye(5))
     sel = select_components(spec)
-    assert sel.selected == [0]
+    assert sel.count == 1
     assert sel.threshold_count == 0
     assert not sel.extended
     assert sel.explained_variance_ratio == pytest.approx(0.2, abs=1e-12)
@@ -271,7 +271,7 @@ def test_select_extension_fires_to_reach_target():
     spec = Spectrum(eigenvalues=np.array([2.0, 0.9, 0.6, 0.5]), eigenvectors=np.eye(4))
     sel = select_components(spec, eigen_threshold=1.0, variance_target=0.85)
     # 2.0/4.0 = 0.5, then 0.725, then 0.875 >= 0.85
-    assert sel.selected == [0, 1, 2]
+    assert sel.count == 3
     assert sel.threshold_count == 1
     assert sel.extended
     assert sel.explained_variance_ratio == pytest.approx(0.875, abs=1e-12)
@@ -300,7 +300,7 @@ def test_loadings_standard_basis():
 def test_loadings_hand_two_by_two_both_conventions():
     spec = eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
     sel = select_components(spec, eigen_threshold=0.0, variance_target=0.0)
-    assert sel.selected == [0, 1]
+    assert sel.count == 2
     unit = loading_matrix(spec, sel, LoadingConvention.UNIT_EIGENVECTOR)
     r = 1.0 / math.sqrt(2.0)
     assert unit == pytest.approx(np.array([[r, r], [r, -r]]), abs=1e-12)
@@ -315,7 +315,7 @@ def test_loadings_sqrt_convention_clamps_negative_eigenvalues():
     from smi.pca import ComponentSelection
 
     spec = Spectrum(eigenvalues=np.array([2.0, -1e-12]), eigenvectors=np.eye(2))
-    sel = ComponentSelection(selected=[0, 1], explained_variance_ratio=1.0,
+    sel = ComponentSelection(count=2, explained_variance_ratio=1.0,
                              threshold_count=1, extended=False)
     scaled = loading_matrix(spec, sel, LoadingConvention.SQRT_EIGENVALUE)
     assert np.all(scaled[:, 1] == 0.0)
