@@ -32,14 +32,12 @@ def inequality_classes(states, gini: GiniTable,
     """Classify each state that has a Gini value; states without one are left out.
 
     Low inequality lies strictly below the threshold; the boundary counts as high.
+    The values are taken as load_gini checked them, in [0, 1].
     """
     out = {}
     for state in states:
         if state in gini:
-            value = gini[state]
-            if not (0.0 <= value <= 1.0):
-                raise InputError(f"gini {value} outside [0, 1]")
-            out[state] = InequalityClass.LOW if value < threshold else InequalityClass.HIGH
+            out[state] = InequalityClass.LOW if gini[state] < threshold else InequalityClass.HIGH
     return out
 
 

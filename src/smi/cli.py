@@ -169,17 +169,17 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     problems: list[str] = []
     names, values = _numeric_rows(rows, SPECTRUM_HEADER[1:], ("component", "component"), problems)
     if problems:
-        raise InputError([f"{path}: {problem}" for problem in problems])
+        raise InputError(problems, path)
     if len(values) != len(registry):
         raise InputError(
-            f"{path}: {len(values)} eigenvalues for a registry of {len(registry)} indicators")
+            f"{len(values)} eigenvalues for a registry of {len(registry)} indicators", path)
     if names != [str(j + 1) for j in range(len(values))]:
-        raise InputError(f"{path}: components must be 1..{len(values)} in file order")
+        raise InputError(f"components must be 1..{len(values)} in file order", path)
     selected = [j for j, (_, _, flag) in enumerate(values) if flag]
     if not selected or selected != list(range(len(selected))):
         raise InputError(
-            f"{path}: selected components must be a leading prefix PC1..PCk, got "
-            + (", ".join(f"PC{j + 1}" for j in selected) or "none"))
+            "selected components must be a leading prefix PC1..PCk, got "
+            + (", ".join(f"PC{j + 1}" for j in selected) or "none"), path)
     return [eigenvalue for eigenvalue, _, _ in values[:len(selected)]]
 
 
@@ -189,20 +189,20 @@ def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
                  for ind_id, row in zip(ids, loadings.tolist())))
 
 
-def read_loadings(path: Path, registry: IndicatorRegistry) -> np.ndarray:
+def read_loadings(path: Path, registry: IndicatorRegistry, k: int) -> np.ndarray:
     """The p x k loadings of a loadings.csv, one finite row per registry indicator in order.
 
-    The header must be indicator_id,PC1..PCk, k taken from the file's width.
+    The header must be indicator_id,PC1..PCk for the k components the spectrum selected.
     """
     rows = _read_rows(path)
-    header = ["indicator_id", *(f"PC{j + 1}" for j in range(len(rows[0]) - 1))]
+    header = ["indicator_id", *(f"PC{j + 1}" for j in range(k))]
     _check_header(path, rows, header)
     problems: list[str] = []
     names, values = _numeric_rows(rows, header[1:], _INDICATOR_KEY, problems)
     if problems:
-        raise InputError([f"{path}: {problem}" for problem in problems])
+        raise InputError(problems, path)
     if tuple(names) != registry.ids:
-        raise InputError(f"{path}: indicator rows do not match the registry")
+        raise InputError("indicator rows do not match the registry", path)
     return np.array(values, dtype=np.float64)
 
 
@@ -458,8 +458,8 @@ def cmd_score(args) -> int:
     config = _config(args)
     out_dir, registry = _prepare(config)
     norm = load_normalized(config.data, registry)
-    loadings = read_loadings(Path(args.loadings), registry)
     eigenvalues = read_spectrum(Path(args.spectrum), registry)
+    loadings = read_loadings(Path(args.loadings), registry, len(eigenvalues))
     warnings: list[str] = []
     weights, _, thresholds, ranked = _score_stage(norm, loadings, eigenvalues, config, warnings)
     _write_score_stage(out_dir, registry, weights, ranked)
@@ -554,8 +554,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         # _read_rows turns every input's OSError into an InputError, so this
         # is an output that cannot be made or written
-        where = f"{exc.filename}: " if exc.filename else ""
-        _print_errors("error", InputError(f"{where}cannot write output ({exc.strerror or exc})"))
+        _print_errors("error",
+                      InputError(f"cannot write output ({exc.strerror or exc})", exc.filename))
         return 1
 
 

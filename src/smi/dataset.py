@@ -10,7 +10,8 @@ _keyed_rows (the row rule) and _numeric_rows (the cell rule). Every CSV
 it writes is opened by _write_rows, which writes lines each writer has
 already formatted, with labels quoted by _field. Loaders collect every
 problem they find and raise a single InputError listing all of them,
-with 1-based row numbers (the header is row 1).
+each naming the file, with 1-based row numbers (the header is row 1).
+validate_matrix is the one constant-column rule every stage calls.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+def bare_matrix(values, ids) -> DataMatrix:
+    """A bare 2-D array as a DataMatrix with unnamed rows and positive indicator columns ids."""
+    specs = tuple(IndicatorSpec(i, i, PILLARS[0], Direction.POSITIVE) for i in ids)
+    return DataMatrix(("",) * len(values), values, IndicatorRegistry(specs))
+
+
 # state name -> Gini coefficient in [0, 1]
 GiniTable = dict[str, float]
 
@@ -154,13 +161,13 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     except OSError as exc:
-        raise InputError(f"{path}: cannot read file ({exc.strerror})") from None
+        raise InputError(f"cannot read file ({exc.strerror})", path) from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise InputError(f"not UTF-8 text (byte {exc.start})", path) from None
     except csv.Error as exc:
-        raise InputError(f"{path}: not a CSV file ({exc})") from None
+        raise InputError(f"not a CSV file ({exc})", path) from None
     if not rows:
-        raise InputError(f"{path}: file is empty")
+        raise InputError("file is empty", path)
     return rows
 
 
@@ -239,7 +246,7 @@ def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems
 
 def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
     if [c.strip() for c in rows[0]] != header:
-        raise InputError(f"{path}: header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
+        raise InputError(f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}", path)
 
 
 def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
@@ -262,9 +269,9 @@ def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
         specs.append(IndicatorSpec(id=ind_id, name=name, pillar=pillar, direction=direction))
 
     if problems:
-        raise InputError(problems)
+        raise InputError(problems, path)
     if not specs:
-        raise InputError(f"{path}: no indicator rows")
+        raise InputError("no indicator rows", path)
     return IndicatorRegistry(specs=tuple(specs))
 
 
@@ -297,14 +304,14 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
             problems.append(f"duplicate columns: {', '.join(repeated)}")
         if not problems:
             problems.append("indicator columns are not in registry order")
-        raise InputError([f"{path}: {p}" for p in problems])
+        raise InputError(problems, path)
 
     problems = []
     states, data = _numeric_rows(rows, ids, _STATE_KEY, problems)
     if not problems and len(states) < MIN_STATES:
-        problems.append(f"{path}: found {len(states)} states, need at least {MIN_STATES}")
+        problems.append(f"found {len(states)} states, need at least {MIN_STATES}")
     if problems:
-        raise InputError(problems)
+        raise InputError(problems, path)
     return DataMatrix(states=tuple(states), values=np.array(data, dtype=np.float64), registry=registry)
 
 
@@ -327,15 +334,16 @@ def load_gini(path: str | Path) -> GiniTable:
         table[state] = value
 
     if problems:
-        raise InputError(problems)
+        raise InputError(problems, path)
     return table
 
 
-def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
-    """Each indicator's (min, max), in registry order.
+def validate_matrix(matrix: DataMatrix, path=None) -> dict[str, tuple[float, float]]:
+    """Each indicator's (min, max), in registry order: the one constant-column rule.
 
-    A constant column has no min-max rescaling: InputError lists every
-    constant column at once.
+    A column whose min equals its max has no min-max rescaling and no
+    correlation: InputError lists every such column at once, naming
+    path, the file the matrix was read from, when one is given.
     """
     values = matrix.values
     ranges = dict(zip(matrix.registry.ids,
@@ -345,7 +353,7 @@ def validate_matrix(matrix: DataMatrix) -> dict[str, tuple[float, float]]:
         raise InputError([
             f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
             for ind_id in constant
-        ])
+        ], path)
     return ranges
 
 

@@ -2,9 +2,9 @@
 
 Two failure families matter to callers: bad input data (reject the run,
 exit code 1) and numerical breakdown (exit code 2). InputError covers
-every input problem, DegenerateColumnError (a constant column) among
-them; everything else is a plain programming error and raises the usual
-builtins.
+every input problem, a constant indicator column among them (one rule,
+dataset.validate_matrix); everything else is a plain programming error
+and raises the usual builtins.
 """
 
 from __future__ import annotations
@@ -14,22 +14,17 @@ class InputError(ValueError):
     """Invalid input data or configuration.
 
     Carries the full list of problems found, not just the first, so a CLI
-    run can report everything wrong with a file in one pass.
+    run can report everything wrong with a file in one pass. Given the
+    file's path, it makes the "<path>: " prefix of each problem itself.
     """
 
-    def __init__(self, errors: list[str] | str):
+    def __init__(self, errors: list[str] | str, path=None):
         if isinstance(errors, str):
             errors = [errors]
+        if path:
+            errors = [f"{path}: {error}" for error in errors]
         self.errors = errors
         super().__init__("; ".join(errors))
-
-
-class DegenerateColumnError(InputError):
-    """A constant indicator column, for which min-max scaling is undefined."""
-
-    def __init__(self, indicator: str):
-        self.indicator = indicator
-        super().__init__(f"indicator {indicator!r} is constant (max == min), cannot rescale")
 
 
 class NumericalError(RuntimeError):

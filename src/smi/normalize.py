@@ -2,18 +2,19 @@
 
 Positive indicators map min -> 0 and max -> 1, negative indicators the
 reverse, with min and max taken over the observed sample. The result is
-a DataMatrix whose entries lie in [0, 1]. Constant columns have no
-defined rescaling and raise DegenerateColumnError. load_normalized reads
-that matrix back from a previous stage's normalized.csv and rejects
-values outside [0, 1].
+a DataMatrix whose entries lie in [0, 1]. A constant column has no
+defined rescaling, and dataset.validate_matrix rejects it. load_normalized
+reads that matrix back from a previous stage's normalized.csv, under the
+same rule and the [0, 1] bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import DataMatrix, Direction, IndicatorRegistry, load_observations
-from .errors import DegenerateColumnError, InputError
+from .dataset import (
+    DataMatrix, Direction, IndicatorRegistry, bare_matrix, load_observations, validate_matrix)
+from .errors import InputError
 
 
 def normalize_column(values, direction: Direction, name: str = "<column>") -> np.ndarray:
@@ -21,32 +22,25 @@ def normalize_column(values, direction: Direction, name: str = "<column>") -> np
 
     The sample min maps to exactly 0 and the sample max to exactly 1
     (flipped for negative indicators); ties at the extremes all land on
-    the endpoint.
+    the endpoint. A constant column fails validate_matrix under name.
     """
     col = np.asarray(values, dtype=np.float64)
-    lo = float(np.min(col))
-    hi = float(np.max(col))
-    if hi == lo:
-        raise DegenerateColumnError(name)
+    ((lo, hi),) = validate_matrix(bare_matrix(col[:, None], [name])).values()
     if direction is Direction.POSITIVE:
         return (col - lo) / (hi - lo)
     return (hi - col) / (hi - lo)
 
 
 def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
-    """Rescale every column of a validated matrix by its indicator's direction.
+    """Rescale every column of a matrix by its indicator's direction.
 
-    normalize_column's elementwise operations on all columns at once, so
-    each entry is bitwise what normalize_column gives; the first constant
-    column in registry order raises DegenerateColumnError.
+    normalize_column's elementwise operations on all columns at once, on
+    the (min, max) that validate_matrix gives each column after rejecting
+    every constant one, so each entry is bitwise what normalize_column gives.
     """
     values = matrix.values
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
+    lo, hi = np.array(list(validate_matrix(matrix).values())).T
     span = hi - lo
-    constant = np.flatnonzero(span == 0.0)
-    if constant.size:
-        raise DegenerateColumnError(matrix.registry[int(constant[0])].id)
     negative = [j for j, d in enumerate(matrix.registry.directions) if d is Direction.NEGATIVE]
     # x - lo, or hi - x in negative columns, then / span; each buffer is
     # made once and worked in place, since on a tall, narrow matrix a fresh
@@ -60,8 +54,9 @@ def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
 
 
 def load_normalized(path, registry: IndicatorRegistry) -> DataMatrix:
-    """Read a normalized.csv produced by a previous stage (observations.csv layout)."""
+    """Read a previous stage's normalized.csv: values in [0, 1], no constant column."""
     matrix = load_observations(path, registry)
     if np.min(matrix.values) < 0.0 or np.max(matrix.values) > 1.0:
-        raise InputError(f"{path}: normalized values must lie in [0, 1]")
+        raise InputError("normalized values must lie in [0, 1]", path)
+    validate_matrix(matrix, path)
     return matrix

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import MIN_STATES
-from .errors import DegenerateColumnError, InputError, NumericalError
+from .dataset import MIN_STATES, DataMatrix, bare_matrix, validate_matrix
+from .errors import InputError, NumericalError
 
 # a p x p dense symmetric matrix and a p x k loading block are plain arrays
 SymmetricMatrix = np.ndarray
@@ -83,18 +83,17 @@ def _ordered_sum(terms):
 def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatrix:
     """Pearson correlations (or sample covariances) of the columns of data.
 
-    data is a DataMatrix or a plain 2-D array; sample statistics use
-    the n-1 denominator. A zero-variance column cannot be correlated and
-    raises DegenerateColumnError.
+    data is a DataMatrix or a plain 2-D array, whose columns are then
+    named col0, col1, ...; sample statistics use the n-1 denominator. A
+    constant column cannot be correlated: under the correlation basis
+    validate_matrix rejects it.
     """
-    if hasattr(data, "values"):
-        values = np.asarray(data.values, dtype=np.float64)
-        names = list(data.registry.ids)
-    else:
+    if not isinstance(data, DataMatrix):
         values = np.asarray(data, dtype=np.float64)
-        names = [f"col{j}" for j in range(values.shape[1] if values.ndim == 2 else 0)]
-    if values.ndim != 2:
-        raise InputError("correlation input must be a 2-D matrix")
+        if values.ndim != 2:
+            raise InputError("correlation input must be a 2-D matrix")
+        data = bare_matrix(values, [f"col{j}" for j in range(values.shape[1])])
+    values = data.values
     n = values.shape[0]
     if n < MIN_STATES:
         raise InputError(f"need at least {MIN_STATES} rows to estimate correlations, got {n}")
@@ -108,10 +107,8 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
     if basis is Basis.COVARIANCE:
         return cov
 
+    validate_matrix(data)
     var = np.diag(cov)
-    zero = np.flatnonzero(var == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(names[zero[0]])
     corr = np.clip(cov / np.sqrt(np.multiply.outer(var, var)), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr

@@ -20,7 +20,7 @@ from smi.dataset import (
     DataMatrix, Direction, IndicatorRegistry, IndicatorSpec, _field, write_observations)
 from smi.errors import InputError
 from smi.normalize import load_normalized
-from smi.pca import ComponentSelection, Spectrum
+from smi.pca import Basis, ComponentSelection, LoadingConvention, Spectrum
 from smi.scoring import PercentileMethod
 
 META3 = """\
@@ -153,12 +153,15 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     meta.write_text(META2_POSITIVE, encoding="utf-8")
     norm = tmp_path / "normalized.csv"
     norm.write_text("state,a,b\nA,0.0,1.0\nB,0.5,0.5\nC,1.0,0.0\n", encoding="utf-8")
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("component,eigenvalue,explained_variance_ratio,selected\n"
+                        "1,1.5,0.75,1\n2,0.5,0.25,0\n", encoding="utf-8")
     stage_args = ["--normalized", str(norm), "--meta", str(meta), "--out", str(tmp_path / "out")]
     run_args = ["run", "--data", str(data_dir / "observations_synthetic.csv"),
                 "--meta", str(data_dir / "indicators.csv"), "--out", str(tmp_path / "out")]
     if case == "missing_loadings":
         bad = tmp_path / "missing.csv"
-        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(norm)]
+        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(spectrum)]
     elif case == "directory_data":
         bad = tmp_path / "a_directory"
         bad.mkdir()
@@ -166,7 +169,7 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     elif case == "ragged_loadings":
         bad = tmp_path / "loadings.csv"
         bad.write_text("indicator_id,PC1\na,0.7\nb\n", encoding="utf-8")
-        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(norm)]
+        args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(spectrum)]
     elif case == "latin1_gini":
         bad = tmp_path / "gini.csv"
         bad.write_bytes(b"state,gini\nB\xe9ziers,0.31\n")
@@ -320,7 +323,7 @@ def test_handoff_files_round_trip_bitwise(tmp_path):
         for j in range(len(wide_floats))))
     loadings = np.column_stack([wide_floats, wide_floats[::-1]])
     smi.cli.write_loadings(tmp_path / "loadings.csv", loadings, registry8.ids)
-    assert smi.cli.read_loadings(tmp_path / "loadings.csv", registry8).tobytes() == \
+    assert smi.cli.read_loadings(tmp_path / "loadings.csv", registry8, 2).tobytes() == \
         loadings.tobytes()
     spectrum = Spectrum(eigenvalues=wide_floats, eigenvectors=np.eye(len(wide_floats)))
     everything = ComponentSelection(count=len(wide_floats),
@@ -407,6 +410,7 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
     ("pc10_first", "components must be 1..31 in file order"),
     ("five_field_row", "row 6: expected 4 fields, got 5"),
     ("misnamed_loadings_header", "header must be 'indicator_id,PC1,PC2,"),
+    ("eight_loading_columns", "header must be 'indicator_id,PC1,PC2,PC3,PC4,PC5,PC6,PC7,PC8,PC9'"),
 ])
 def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
     stages = tmp_path / "stages"
@@ -428,6 +432,9 @@ def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit,
         rows.insert(1, rows.pop(10))
     elif edit == "five_field_row":
         rows[5].append("0")
+    elif edit == "eight_loading_columns":
+        # PC1..PC8 against a spectrum that selects PC1..PC9
+        rows = [row[:9] for row in rows]
     else:
         assert rows[0][2] == "PC2"
         rows[0][2] = "PC3"
@@ -441,6 +448,37 @@ def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit,
     assert code == 1
     assert str(handoff) in err and message in err
     assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("command, constant, flags", [
+    ("pca", "0.5", ["--pca-basis", "covariance"]),
+    ("pca", "0.1", ["--pca-basis", "correlation"]),
+    ("pca", "0.1", ["--pca-basis", "covariance"]),
+    ("score", "0.5", []),
+], ids=["pca-covariance-0.5", "pca-correlation-0.1", "pca-covariance-0.1", "score-0.5"])
+def test_stages_reject_a_constant_normalized_column(data_dir, tmp_path, command, constant, flags):
+    # 22 cells of 0.1 have a mean of 0.10000000000000003 and so a nonzero
+    # variance: only the min == max rule sees that the column is constant
+    stages = tmp_path / "stages"
+    assert _chain(data_dir, stages) == [0, 0, 0]
+    norm = stages / "normalized.csv"
+    with open(norm, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1] == "life_exp"
+    for row in rows[1:]:
+        row[1] = constant
+    with open(norm, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    if command == "score":
+        flags = ["--loadings", str(stages / "loadings.csv"),
+                 "--spectrum", str(stages / "spectrum.csv")]
+    out = tmp_path / "out"
+    code, err = _main(command, "--normalized", str(norm),
+                      "--meta", str(data_dir / "indicators.csv"), "--out", str(out), *flags)
+    assert code == 1
+    assert err == (f"error: {norm}: indicator 'life_exp' is constant, "
+                   "min-max rescaling is undefined\n")
+    assert not (out / "loadings.csv").exists() and not (out / "weights.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory"])
@@ -645,20 +683,61 @@ def test_field_quotes_like_csv_writer():
     assert mismatched == []
 
 
-# sha256 of the artifacts whose bytes do not depend on the BLAS build, as
-# the csv.writer-based writers wrote them on the fixture with default flags
+# the artifacts whose bytes do not depend on the BLAS build, and for each
+# basis-convention-method flag combination on the fixture (and once more
+# without --gini) the first 16 hex digits of their sha256, in that order;
+# a refactor keeps every one of these bytes
+ARTIFACTS = ("normalized.csv", "correlation.csv", "weights.csv", "scores.csv",
+             "scenarios.json", "scatter.csv", "pillars.csv")
 FIXTURE_DIGESTS = {
-    "normalized.csv": "7dff717420b12530634982cae5bd32c277398a6dcf703241290528a237345d0b",
-    "correlation.csv": "d7208aff65bc7c1c8e4629d440c6675798166ecce8204d4fc2ad300959ac5ff7",
-    "weights.csv": "fb55af49e3c156e883b03ec0c4e167c2508bf2cdfe8a81a128d6e83b1a2a4be1",
-    "scores.csv": "6d856e3c9ce77856a216afa9100b2911085cef045f4552d79ce799b9ca9dcce6",
-    "scenarios.json": "c50c0e1cd18334ef239651c649264b3cd09e0c69c472e3cd34848c5c6e71428d",
-    "scatter.csv": "3e546105942745ba9b937ec7587419691705173a7f153caa05be60a4e94ddd55",
-    "pillars.csv": "966521c8a8712c5ef17d6e6847f8a64999e533c461cf5944b4fd3f6024e175af",
+    "correlation-unit-exclusive":
+        "7dff717420b12530 d7208aff65bc7c1c fb55af49e3c156e8 6d856e3c9ce77856 "
+        "c50c0e1cd18334ef 3e546105942745ba 966521c8a8712c5e",
+    "correlation-unit-inclusive":
+        "7dff717420b12530 d7208aff65bc7c1c fb55af49e3c156e8 9d91e8278fe1e41a "
+        "b13e06128097039c 3e546105942745ba 966521c8a8712c5e",
+    "correlation-unit-nearest_rank":
+        "7dff717420b12530 d7208aff65bc7c1c fb55af49e3c156e8 c942434c35ed9f41 "
+        "ce1fd90c05016083 3e546105942745ba 966521c8a8712c5e",
+    "correlation-sqrt_eigenvalue-exclusive":
+        "7dff717420b12530 d7208aff65bc7c1c 3deaa08760e2692c bd5ccc154f66bf31 "
+        "c50c0e1cd18334ef c0601e0923ead893 44987d68c24fe36f",
+    "correlation-sqrt_eigenvalue-inclusive":
+        "7dff717420b12530 d7208aff65bc7c1c 3deaa08760e2692c 01f34acf2bc92524 "
+        "b13e06128097039c c0601e0923ead893 44987d68c24fe36f",
+    "correlation-sqrt_eigenvalue-nearest_rank":
+        "7dff717420b12530 d7208aff65bc7c1c 3deaa08760e2692c 15ca06d154c36f44 "
+        "ce1fd90c05016083 c0601e0923ead893 44987d68c24fe36f",
+    "covariance-unit-exclusive":
+        "7dff717420b12530 b745c26c0220b38e f3cc94877fc02ed3 536a8e2e2fa74874 "
+        "c50c0e1cd18334ef a538ea83e9be57ca 04a4a1fe7512ddb9",
+    "covariance-unit-inclusive":
+        "7dff717420b12530 b745c26c0220b38e f3cc94877fc02ed3 711a8f7b303e2006 "
+        "b13e06128097039c a538ea83e9be57ca 04a4a1fe7512ddb9",
+    "covariance-unit-nearest_rank":
+        "7dff717420b12530 b745c26c0220b38e f3cc94877fc02ed3 ec73315f7dd321b7 "
+        "ce1fd90c05016083 a538ea83e9be57ca 04a4a1fe7512ddb9",
+    "covariance-sqrt_eigenvalue-exclusive":
+        "7dff717420b12530 b745c26c0220b38e fefada8f01e02543 9f3ea32907f2927d "
+        "c50c0e1cd18334ef 81ca62ca3f74959d f358898aadc9975b",
+    "covariance-sqrt_eigenvalue-inclusive":
+        "7dff717420b12530 b745c26c0220b38e fefada8f01e02543 f9deeed27a9903e9 "
+        "b13e06128097039c 81ca62ca3f74959d f358898aadc9975b",
+    "covariance-sqrt_eigenvalue-nearest_rank":
+        "7dff717420b12530 b745c26c0220b38e fefada8f01e02543 8b1adabe536f8607 "
+        "ce1fd90c05016083 81ca62ca3f74959d f358898aadc9975b",
+    "correlation-unit-exclusive-no_gini":
+        "7dff717420b12530 d7208aff65bc7c1c fb55af49e3c156e8 6d856e3c9ce77856 "
+        "0a73fd88e51e99a0 8b7ec25c892c9b80 966521c8a8712c5e",
 }
 
 
-def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path):
-    run(base_config(data_dir, tmp_path))
-    for name, digest in FIXTURE_DIGESTS.items():
-        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+@pytest.mark.parametrize("case", list(FIXTURE_DIGESTS))
+def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path, case):
+    basis, convention, method, *no_gini = case.split("-")
+    run(base_config(data_dir, tmp_path, gini=None if no_gini else str(data_dir / "gini.csv"),
+                    pca_basis=Basis(basis), loading_convention=LoadingConvention(convention),
+                    percentile_method=PercentileMethod(method)))
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+               for name in ARTIFACTS}
+    assert digests == dict(zip(ARTIFACTS, FIXTURE_DIGESTS[case].split()))

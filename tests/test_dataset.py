@@ -86,11 +86,11 @@ def test_metadata_collects_every_problem(tmp_path):
         load_indicator_metadata(path)
     messages = exc.value.errors
     assert len(messages) == 5
-    assert "row 3: duplicate indicator id 'a' (first seen at row 2)" in messages
-    assert "row 4: empty indicator id" in messages
-    assert any("row 5: unknown pillar" in m for m in messages)
-    assert any("row 6" in m and "sideways" in m for m in messages)
-    assert "row 7: expected 4 fields, got 3" in messages
+    assert f"{path}: row 3: duplicate indicator id 'a' (first seen at row 2)" in messages
+    assert f"{path}: row 4: empty indicator id" in messages
+    assert any(m.startswith(f"{path}: row 5: unknown pillar") for m in messages)
+    assert any(m.startswith(f"{path}: row 6: ") and "sideways" in m for m in messages)
+    assert f"{path}: row 7: expected 4 fields, got 3" in messages
 
 
 def test_metadata_rejects_bad_header(tmp_path):
@@ -203,10 +203,10 @@ def test_observations_cell_problems_name_state_and_indicator(tmp_path, small_reg
     with pytest.raises(InputError) as exc:
         load_observations(path, small_registry)
     messages = exc.value.errors
-    assert "row 3: non-numeric value 'oops' for (Beta, le)" in messages
-    assert "row 3: non-finite value 'inf' for (Beta, mys)" in messages
-    assert "row 4: duplicate state 'Alpha' (first seen at row 2)" in messages
-    assert "row 5: empty state name" in messages
+    assert f"{path}: row 3: non-numeric value 'oops' for (Beta, le)" in messages
+    assert f"{path}: row 3: non-finite value 'inf' for (Beta, mys)" in messages
+    assert f"{path}: row 4: duplicate state 'Alpha' (first seen at row 2)" in messages
+    assert f"{path}: row 5: empty state name" in messages
 
 
 def test_observations_need_three_states(tmp_path, small_registry):
@@ -247,9 +247,9 @@ def test_gini_problems_collected(tmp_path):
         load_gini(path)
     messages = exc.value.errors
     assert len(messages) == 3
-    assert "row 3: duplicate state 'Alpha' (first seen at row 2)" in messages
-    assert "row 4: gini 1.5 for Beta outside [0, 1]" in messages
-    assert "row 5: non-numeric gini 'abc' for Gamma" in messages
+    assert f"{path}: row 3: duplicate state 'Alpha' (first seen at row 2)" in messages
+    assert f"{path}: row 4: gini 1.5 for Beta outside [0, 1]" in messages
+    assert f"{path}: row 5: non-numeric gini 'abc' for Gamma" in messages
 
 
 def test_validate_matrix_returns_column_ranges(small_registry):

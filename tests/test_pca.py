@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from smi.errors import DegenerateColumnError, InputError, NumericalError
+from smi.errors import InputError, NumericalError
 from smi.pca import (
     Basis,
     LoadingConvention,
@@ -98,9 +98,13 @@ def test_correlation_needs_three_rows():
 
 
 def test_correlation_rejects_constant_column():
-    data = np.column_stack([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-    with pytest.raises(DegenerateColumnError):
-        correlation_matrix(data)
+    # three 0.1s have a mean of 0.10000000000000002, so a nonzero variance:
+    # only min == max catches that column
+    for constant in (5.0, 0.1):
+        data = np.column_stack([[1.0, 2.0, 3.0], [constant] * 3])
+        with pytest.raises(InputError) as exc:
+            correlation_matrix(data)
+        assert exc.value.errors == ["indicator 'col1' is constant, min-max rescaling is undefined"]
 
 
 def test_eigendecompose_identity():
