@@ -225,17 +225,17 @@ def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
     return out_dir, load_indicator_metadata(config.meta)
 
 
-def _normalize_stage(matrix: DataMatrix) -> tuple[dict[str, tuple[float, float]], DataMatrix]:
-    """Validate the raw observations, then min-max rescale them: (column ranges, rescaled)."""
-    return validate_matrix(matrix), normalize_matrix(matrix)
+def _normalize_stage(matrix: DataMatrix, config: RunConfig):
+    """Validate and min-max rescale config.data's observations: (column ranges, rescaled)."""
+    return validate_matrix(matrix, config.data), normalize_matrix(matrix)
 
 
 def _pca_stage(norm: DataMatrix, config: RunConfig, warnings: list[str]):
     """Correlate, eigendecompose, select components, load: (corr, spectrum, selection, loadings).
 
-    Warns when the variance target extended the selection.
+    Warns when the variance target extended the selection; column errors name config.data.
     """
-    corr = correlation_matrix(norm, basis=config.pca_basis)
+    corr = correlation_matrix(norm, basis=config.pca_basis, path=config.data)
     spectrum = eigendecompose(corr)
     selection = select_components(spectrum, config.eigen_threshold, config.variance_target)
     if selection.extended:
@@ -313,7 +313,7 @@ def run(config: RunConfig) -> dict:
 
     # each stage appends its own warnings, so they come out in stage order
     warnings: list[str] = []
-    ranges, norm = _normalize_stage(matrix)
+    ranges, norm = _normalize_stage(matrix, config)
     corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
     weights, scores, thresholds, ranked = _score_stage(
         norm, loadings, spectrum.eigenvalues[:selection.count], config, warnings)
@@ -434,7 +434,7 @@ def cmd_run(args) -> int:
 def cmd_normalize(args) -> int:
     config = _config(args)
     out_dir, registry = _prepare(config)
-    _, norm = _normalize_stage(load_observations(config.data, registry))
+    _, norm = _normalize_stage(load_observations(config.data, registry), config)
     write_observations(norm, out_dir / "normalized.csv")
     print(f"wrote {out_dir / 'normalized.csv'} "
           f"({norm.n_states} states x {norm.n_indicators} indicators)")

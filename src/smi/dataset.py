@@ -11,7 +11,7 @@ it writes is opened by _write_rows, which writes lines each writer has
 already formatted, with labels quoted by _field. Loaders collect every
 problem they find and raise a single InputError listing all of them,
 each naming the file, with 1-based row numbers (the header is row 1).
-validate_matrix is the one constant-column rule every stage calls.
+validate_matrix is the one column rule every stage calls.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ MIN_STATES = 3
 class Direction(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown direction {text!r} (expected positive or negative)") from None
 
 
 @dataclass(frozen=True)
@@ -262,9 +255,10 @@ def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
             problems.append(f"row {lineno}: unknown pillar {pillar!r}")
             continue
         try:
-            direction = Direction.parse(direction_text)
-        except ValueError as exc:
-            problems.append(f"row {lineno}: {exc}")
+            direction = Direction(direction_text.lower())
+        except ValueError:
+            problems.append(f"row {lineno}: unknown direction {direction_text!r} "
+                            "(expected positive or negative)")
             continue
         specs.append(IndicatorSpec(id=ind_id, name=name, pillar=pillar, direction=direction))
 
@@ -339,21 +333,25 @@ def load_gini(path: str | Path) -> GiniTable:
 
 
 def validate_matrix(matrix: DataMatrix, path=None) -> dict[str, tuple[float, float]]:
-    """Each indicator's (min, max), in registry order: the one constant-column rule.
+    """Each indicator's (min, max), in registry order: the one column rule.
 
     A column whose min equals its max has no min-max rescaling and no
-    correlation: InputError lists every such column at once, naming
-    path, the file the matrix was read from, when one is given.
+    correlation, and one whose max - min overflows to inf has no finite
+    rescaling: InputError lists every such column at once, in registry
+    order, naming path, the file the matrix was read from, when one is given.
     """
     values = matrix.values
     ranges = dict(zip(matrix.registry.ids,
                       zip(values.min(axis=0).tolist(), values.max(axis=0).tolist())))
-    constant = [ind_id for ind_id, (lo, hi) in ranges.items() if lo == hi]
-    if constant:
-        raise InputError([
-            f"indicator {ind_id!r} is constant, min-max rescaling is undefined"
-            for ind_id in constant
-        ], path)
+    problems = []
+    for ind_id, (lo, hi) in ranges.items():
+        if lo == hi:
+            problems.append(f"indicator {ind_id!r} is constant, min-max rescaling is undefined")
+        elif hi - lo == math.inf:
+            problems.append(f"indicator {ind_id!r} range {lo!r} to {hi!r} overflows, "
+                            "min-max rescaling is undefined")
+    if problems:
+        raise InputError(problems, path)
     return ranges
 
 

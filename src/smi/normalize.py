@@ -3,9 +3,10 @@
 Positive indicators map min -> 0 and max -> 1, negative indicators the
 reverse, with min and max taken over the observed sample. The result is
 a DataMatrix whose entries lie in [0, 1]. A constant column has no
-defined rescaling, and dataset.validate_matrix rejects it. load_normalized
-reads that matrix back from a previous stage's normalized.csv, under the
-same rule and the [0, 1] bound.
+defined rescaling, nor has one whose max - min overflows, and
+dataset.validate_matrix rejects both. load_normalized reads that matrix
+back from a previous stage's normalized.csv, under the same rule and the
+[0, 1] bound.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def normalize_column(values, direction: Direction, name: str = "<column>") -> np
 
     The sample min maps to exactly 0 and the sample max to exactly 1
     (flipped for negative indicators); ties at the extremes all land on
-    the endpoint. A constant column fails validate_matrix under name.
+    the endpoint. A column validate_matrix rejects fails under name.
     """
     col = np.asarray(values, dtype=np.float64)
     ((lo, hi),) = validate_matrix(bare_matrix(col[:, None], [name])).values()
@@ -35,21 +36,12 @@ def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
     """Rescale every column of a matrix by its indicator's direction.
 
     normalize_column's elementwise operations on all columns at once, on
-    the (min, max) that validate_matrix gives each column after rejecting
-    every constant one, so each entry is bitwise what normalize_column gives.
+    the (min, max) that validate_matrix gives each column it accepts, so
+    each entry is bitwise what normalize_column gives.
     """
-    values = matrix.values
     lo, hi = np.array(list(validate_matrix(matrix).values())).T
-    span = hi - lo
-    negative = [j for j, d in enumerate(matrix.registry.directions) if d is Direction.NEGATIVE]
-    # x - lo, or hi - x in negative columns, then / span; each buffer is
-    # made once and worked in place, since on a tall, narrow matrix a fresh
-    # one costs more than the arithmetic
-    out = values - lo
-    flipped = values[:, negative]
-    np.subtract(hi[negative], flipped, out=flipped)
-    out[:, negative] = flipped
-    out /= span
+    negative = np.array([d is Direction.NEGATIVE for d in matrix.registry.directions])
+    out = np.where(negative, hi - matrix.values, matrix.values - lo) / (hi - lo)
     return DataMatrix(states=matrix.states, values=out, registry=matrix.registry)
 
 

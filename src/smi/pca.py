@@ -3,8 +3,8 @@
 The eigensolver starts from LAPACK's eigenvectors (numpy.linalg.eigh)
 and runs a cyclic Jacobi iteration on V^T A V to polish and certify the
 result: deterministic (fixed sweep order, fixed sign convention), with
-the off-diagonal norm below tol guaranteed on return. Reductions on the
-result path use fixed-order accumulation. Identical inputs give
+the off-diagonal norm below DEFAULT_TOL guaranteed on return. Reductions
+on the result path use fixed-order accumulation. Identical inputs give
 byte-identical output on the same platform and numpy/BLAS build; across
 builds only the last bits of the full-precision eigenpairs may differ.
 """
@@ -24,6 +24,8 @@ from .errors import InputError, NumericalError
 SymmetricMatrix = np.ndarray
 LoadingMatrix = np.ndarray
 
+# the eigensolver's certificate: off-diagonal norm below DEFAULT_TOL
+# within DEFAULT_MAX_SWEEPS sweeps, read on every call
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
 
@@ -80,13 +82,15 @@ def _ordered_sum(terms):
     return total if isinstance(total, np.ndarray) else float(total)
 
 
-def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatrix:
+def correlation_matrix(data, basis: Basis = Basis.CORRELATION, path=None) -> SymmetricMatrix:
     """Pearson correlations (or sample covariances) of the columns of data.
 
     data is a DataMatrix or a plain 2-D array, whose columns are then
-    named col0, col1, ...; sample statistics use the n-1 denominator. A
-    constant column cannot be correlated: under the correlation basis
-    validate_matrix rejects it.
+    named col0, col1, ...; sample statistics use the n-1 denominator.
+    Under the correlation basis a column that validate_matrix rejects, or
+    whose sample variance squared underflows to 0 (a zero variance among
+    them), cannot be correlated: InputError names each such column, and
+    path, the file data was read from, when one is given.
     """
     if not isinstance(data, DataMatrix):
         values = np.asarray(data, dtype=np.float64)
@@ -107,8 +111,14 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION) -> SymmetricMatri
     if basis is Basis.COVARIANCE:
         return cov
 
-    validate_matrix(data)
+    validate_matrix(data, path)
     var = np.diag(cov)
+    # the denominator is sqrt(var_i * var_j), and var_i * var_j is never
+    # 0 when no variance's square is
+    tiny = [f"indicator {ind_id!r} has sample variance {v!r}, too small to correlate"
+            for ind_id, v in zip(data.registry.ids, var.tolist()) if v * v == 0.0]
+    if tiny:
+        raise InputError(tiny, path)
     corr = np.clip(cov / np.sqrt(np.multiply.outer(var, var)), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -129,16 +139,15 @@ def _fix_signs(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
-                   max_sweeps: int = DEFAULT_MAX_SWEEPS) -> Spectrum:
+def eigendecompose(m: SymmetricMatrix) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, LAPACK-seeded and Jacobi-polished.
 
     The LAPACK eigenvectors V of the matrix A seed the iteration, which
     starts from V^T A V instead of A. Cyclic Jacobi rotations then sweep
     the upper triangle in row order, annihilating each off-diagonal
-    entry, until the off-diagonal Frobenius norm drops below tol or the
-    sweep cap is hit (NumericalError carrying the residual). A good seed
-    usually needs no sweep at all; the norm is checked either way.
+    entry, until the off-diagonal Frobenius norm drops below DEFAULT_TOL;
+    after DEFAULT_MAX_SWEEPS sweeps NumericalError carries the residual.
+    A good seed usually needs no sweep; the norm is checked either way.
     Eigenpairs come back sorted by descending eigenvalue with a
     deterministic sign convention on the eigenvectors.
     """
@@ -147,8 +156,6 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
         raise InputError("eigendecompose needs a square matrix")
     if not np.all(np.isfinite(a)):
         raise InputError("eigendecompose needs finite entries")
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
     p = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
@@ -159,13 +166,13 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
     b = v.T @ a @ v
     b = (b + b.T) / 2.0
     # entries at or below this can never lift the off-diagonal norm back
-    # above tol (p(p-1) of them contribute under tol^2/4 combined), so
-    # rotating them is a no-op and they are skipped
-    skip = tol / (2.0 * p)
+    # above DEFAULT_TOL (p(p-1) of them contribute under DEFAULT_TOL^2/4
+    # combined), so rotating them is a no-op and they are skipped
+    skip = DEFAULT_TOL / (2.0 * p)
 
     sweeps = 0
     off = _off_diagonal_norm(b)
-    while off >= tol and sweeps < max_sweeps:
+    while off >= DEFAULT_TOL and sweeps < DEFAULT_MAX_SWEEPS:
         for i in range(p - 1):
             for j in range(i + 1, p):
                 aij = float(b[i, j])
@@ -199,9 +206,9 @@ def eigendecompose(m: SymmetricMatrix, tol: float = DEFAULT_TOL,
         sweeps += 1
         off = _off_diagonal_norm(b)
 
-    if off >= tol:
+    if off >= DEFAULT_TOL:
         raise NumericalError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps", residual=off)
+            f"Jacobi iteration did not converge in {DEFAULT_MAX_SWEEPS} sweeps", residual=off)
 
     eigenvalues = np.diag(b)
     order = np.argsort(-eigenvalues, kind="stable")

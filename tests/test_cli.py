@@ -131,11 +131,13 @@ def test_cli_exit_one_lists_every_constant_column(tmp_path):
     obs = tmp_path / "observations.csv"
     obs.write_text(
         "state,le,abr,mys\nA,1,7,6\nB,2,7,6\nC,3,7,6\n", encoding="utf-8")
-    result = run_cli("run", "--data", str(obs), "--meta", str(meta),
-                     "--out", str(tmp_path / "out"))
-    assert result.returncode == 1
-    assert "'abr' is constant" in result.stderr
-    assert "'mys' is constant" in result.stderr
+    for command in ("run", "normalize"):
+        result = run_cli(command, "--data", str(obs), "--meta", str(meta),
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stderr == "".join(
+            f"error: {obs}: indicator {ind_id!r} is constant, min-max rescaling is undefined\n"
+            for ind_id in ("abr", "mys")), command
 
 
 def test_cli_exit_one_on_missing_file(tmp_path):
@@ -356,11 +358,16 @@ def test_boundary_warning_fires(tmp_path):
     assert any("threshold" in w and "sensitive" in w for w in report["warnings"])
 
 
-def _main(*argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _console(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main(*argv) -> tuple[int, str]:
+    code, _, err = _console(*argv)
+    return code, err
 
 
 def _fixture_args(data_dir, out):
@@ -479,6 +486,75 @@ def test_stages_reject_a_constant_normalized_column(data_dir, tmp_path, command,
     assert err == (f"error: {norm}: indicator 'life_exp' is constant, "
                    "min-max rescaling is undefined\n")
     assert not (out / "loadings.csv").exists() and not (out / "weights.csv").exists()
+
+
+# columns that no rescaling or correlation can take; each used to reach
+# numpy and print RuntimeWarnings, and none named its file
+SPREAD = ("0", "0.5", "1", "0.25")
+OVERFLOW = ("1e308", "-1e308", "0", "0")
+OVERFLOW_ERROR = "range -1e+308 to 1e+308 overflows, min-max rescaling is undefined"
+
+
+@pytest.mark.parametrize("command, a, b, errors", [
+    ("run", SPREAD, OVERFLOW, [f"'b' {OVERFLOW_ERROR}"]),
+    ("normalize", SPREAD, OVERFLOW, [f"'b' {OVERFLOW_ERROR}"]),
+    ("run", ("7", "7", "7", "7"), OVERFLOW,
+     ["'a' is constant, min-max rescaling is undefined", f"'b' {OVERFLOW_ERROR}"]),
+    ("pca", SPREAD, ("0", "5e-324", "0", "1e-323"),
+     ["'b' has sample variance 0.0, too small to correlate"]),
+    ("pca", SPREAD, ("0", "1e-100", "0", "2e-100"),
+     ["'b' has sample variance 9.166666666666668e-201, too small to correlate"]),
+], ids=["run-overflow", "normalize-overflow", "run-constant-and-overflow", "pca-zero-variance",
+        "pca-variance-squared-underflows"])
+def test_hostile_column_exits_one_naming_file_and_column(tmp_path, command, a, b, errors):
+    meta = tmp_path / "indicators.csv"
+    meta.write_text(META2_POSITIVE, encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("state,a,b\n" + "".join(
+        f"{state},{x},{y}\n" for state, x, y in zip("ABCD", a, b)), encoding="utf-8")
+    out = tmp_path / "out"
+    flag = "--normalized" if command == "pca" else "--data"
+    code, err = _main(command, flag, str(data), "--meta", str(meta), "--out", str(out))
+    assert code == 1
+    assert err == "".join(f"error: {data}: indicator {e}\n" for e in errors)
+    assert list(out.iterdir()) == []
+
+
+# what smi run and the chained stages print on the fixture, <out> standing
+# for the output directory; a refactor keeps every character
+EXTENDED = ("warning: variance target 0.85 not met by the 8 components above eigenvalue 1.0; "
+            "extended to 9 components\n")
+RUN_STDOUT = ("scored 22 states; 9 components keep 86.2% of variance\n"
+              "thresholds: low 0.341504 / high 0.591282\n"
+              "wrote <out>/report.json\n")
+FIXTURE_CONSOLE = {
+    "run": (0, RUN_STDOUT, EXTENDED + "warning: no gini value for: Andhra Pradesh, Telangana\n"),
+    "run-no_gini": (0, RUN_STDOUT, EXTENDED + "warning: no gini file given; every state is "
+                    "unclassified in the scenario table\n"),
+    "normalize": (0, "wrote <out>/normalized.csv (22 states x 31 indicators)\n", ""),
+    "pca": (0, "selected 9 of 31 components (86.2% of variance)\n", EXTENDED),
+    "score": (0, "scored 22 states; thresholds low 0.341504 / high 0.591282\n", ""),
+}
+
+
+def test_fixture_console_keeps_its_text(data_dir, tmp_path):
+    out = tmp_path / "out"
+    meta = str(data_dir / "indicators.csv")
+    norm = str(out / "normalized.csv")
+    argvs = {
+        "run": ["run", *_fixture_args(data_dir, out), "--gini", str(data_dir / "gini.csv")],
+        "run-no_gini": ["run", *_fixture_args(data_dir, out)],
+        "normalize": ["normalize", *_fixture_args(data_dir, out)],
+        "pca": ["pca", "--normalized", norm, "--meta", meta, "--out", str(out)],
+        "score": ["score", "--normalized", norm, "--meta", meta,
+                  "--loadings", str(out / "loadings.csv"),
+                  "--spectrum", str(out / "spectrum.csv"), "--out", str(out)],
+    }
+    console = {}
+    for case, argv in argvs.items():
+        code, stdout, stderr = _console(*argv)
+        console[case] = (code, stdout.replace(str(out), "<out>"), stderr.replace(str(out), "<out>"))
+    assert console == FIXTURE_CONSOLE
 
 
 @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory"])
@@ -648,7 +724,7 @@ def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_d
     run(config)
 
     registry = smi.cli.load_indicator_metadata(config.meta)
-    _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry))
+    _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry), config)
     corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
     weights, scores, _, ranked = smi.cli._score_stage(
         norm, loadings, spectrum.eigenvalues[:selection.count], config, [])

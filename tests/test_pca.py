@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import smi.pca
 from smi.errors import InputError, NumericalError
 from smi.pca import (
     Basis,
@@ -185,18 +186,18 @@ def test_eigendecompose_input_checks():
         eigendecompose(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(InputError, match="finite"):
         eigendecompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    with pytest.raises(InputError, match="tol"):
-        eigendecompose(np.eye(2), tol=0.0)
 
 
-def test_eigendecompose_nonconvergence_raises_with_residual():
+def test_eigendecompose_nonconvergence_raises_with_residual(monkeypatch):
     # the LAPACK seed leaves a rounding-level residual that no positive
-    # tol this small accepts, and no sweep is allowed to reduce it
+    # tolerance this small accepts, and no sweep is allowed to reduce it
+    monkeypatch.setattr(smi.pca, "DEFAULT_TOL", 1e-300)
+    monkeypatch.setattr(smi.pca, "DEFAULT_MAX_SWEEPS", 0)
     rng = np.random.default_rng(11)
     a = rng.normal(0, 1, (9, 9))
     a = (a + a.T) / 2.0
     with pytest.raises(NumericalError) as exc:
-        eigendecompose(a, tol=1e-300, max_sweeps=0)
+        eigendecompose(a)
     assert exc.value.residual is not None and exc.value.residual > 0
     assert "residual" in str(exc.value)
 
