@@ -1,18 +1,18 @@
 """Pipeline orchestration and the smi command line.
 
-One stage pipeline serves every command. Each stage has one helper
-(validate+normalize; correlate, eigendecompose, select, load; weight,
-score, cut, rank; cross-tabulate, pair with Gini, split by pillar) that
-appends the stage's warnings to the list it is given, and the first
-three stages have one writer for their handoff files. `smi run` composes
-all four and dumps every stage artifact plus report.json. The
-normalize/pca/score subcommands read the previous stage's handoff files
-and call the same helper and writer, so chaining them reproduces the
-single-run outputs byte for byte (handoff files carry full float
-precision; presentation dumps are rounded to 6 decimals), and one
-`_warn` prints the same warning lines for every command. Every command
-builds one RunConfig, whose field defaults are the flag defaults, and
-validates it before any work.
+One pipeline of four stages serves every command: normalize (validate,
+rescale), pca (correlate, eigendecompose, select, load), score (weight,
+score, cut, rank) and analysis (cross-tabulate, pair with Gini, split by
+pillar). Each stage has one helper that appends the stage's warnings to
+the list it is given, and the first three stages have one writer for
+their handoff files. `smi run` composes all four and dumps every stage
+artifact plus report.json. The normalize/pca/score subcommands read the
+previous stage's handoff files and call the same helper and writer, so
+chaining them reproduces the single-run outputs byte for byte (handoff
+files carry full float precision; presentation dumps are rounded to 6
+decimals), and one `_warn` prints the same warning lines for every
+command. Every command builds one RunConfig, whose field defaults are
+the flag defaults, and validates it before any work.
 
 Exit codes: 0 success, 1 invalid input or configuration or an output
 that cannot be written, 2 numerical failure.
@@ -71,6 +71,7 @@ from .pca import (
     select_components,
 )
 from .scoring import (
+    PSD_SLACK,
     PercentileMethod,
     StateScore,
     composite_index,
@@ -162,7 +163,8 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
 
     Under SPECTRUM_HEADER, the rows must be components 1..p in file order,
     one per registry indicator, with finite numbers; the rows flagged
-    selected (non-zero) must be a non-empty leading prefix PC1..PCk.
+    selected (non-zero) must be a non-empty leading prefix PC1..PCk, and
+    their eigenvalues no further below zero than scoring.PSD_SLACK.
     """
     rows = _read_rows(path)
     _check_header(path, rows, SPECTRUM_HEADER)
@@ -180,7 +182,12 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
         raise InputError(
             "selected components must be a leading prefix PC1..PCk, got "
             + (", ".join(f"PC{j + 1}" for j in selected) or "none"), path)
-    return [eigenvalue for eigenvalue, _, _ in values[:len(selected)]]
+    eigenvalues = [eigenvalue for eigenvalue, _, _ in values[:len(selected)]]
+    negative = [f"row {j + 2}: eigenvalue {e!r} of PC{j + 1} is negative beyond round-off"
+                for j, e in enumerate(eigenvalues) if e < -PSD_SLACK]
+    if negative:
+        raise InputError(negative, path)
+    return eigenvalues
 
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:

@@ -6,7 +6,9 @@ table of per-state Gini coefficients. Every CSV the program reads is
 opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
 empty file into an InputError naming it. Every reader, the pca stage's
 handoff readers included, applies the rules kept here: _check_header,
-_keyed_rows (the row rule) and _numeric_rows (the cell rule). Every CSV
+_keyed_rows (the row rule) and _numeric_rows (the cell rule, the only
+code that parses a cell into a float and holds it to its range: finite
+by default, [0, 1] for gini.csv and normalized.csv). Every CSV
 it writes is opened by _write_rows, which writes lines each writer has
 already formatted, with labels quoted by _field. Loaders collect every
 problem they find and raise a single InputError listing all of them,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -139,6 +142,9 @@ def bare_matrix(values, ids) -> DataMatrix:
 # state name -> Gini coefficient in [0, 1]
 GiniTable = dict[str, float]
 
+# the range of every finite float: the cell rule's default, so that only nan and +-inf fail it
+_FINITE = (-sys.float_info.max, sys.float_info.max)
+
 # what an empty, and what a repeated, first field is called in messages
 _INDICATOR_KEY = ("indicator id", "indicator id")
 _STATE_KEY = ("state name", "state")
@@ -212,12 +218,15 @@ def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problem
         yield lineno, name, row
 
 
-def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems: list[str]):
+def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems: list[str],
+                  within: tuple[float, float] = _FINITE):
     """(names, values) of the _keyed_rows of a table whose key column is followed by columns.
 
-    The cell rule: each cell after the key must be a finite float. One that
-    is not is reported in problems, naming its row, key and column.
+    The cell rule: each cell after the key must be a float in the closed
+    range within, finite by default. One that is not is reported in
+    problems, naming its row, key and column.
     """
+    low, high = within
     names: list[str] = []
     values: list[list[float]] = []
     for lineno, name, row in _keyed_rows(rows, 1 + len(columns), key, problems):
@@ -228,8 +237,11 @@ def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems
             except ValueError:
                 problems.append(f"row {lineno}: non-numeric value {cell!r} for ({name}, {column})")
                 continue
-            if not math.isfinite(v):
-                problems.append(f"row {lineno}: non-finite value {cell!r} for ({name}, {column})")
+            # one comparison for a cell that passes; it fails on nan and on +-inf too
+            if not low <= v <= high:
+                where = f"{cell!r} for ({name}, {column})"
+                problems.append(f"row {lineno}: value {where} outside [{low:g}, {high:g}]"
+                                if math.isfinite(v) else f"row {lineno}: non-finite value {where}")
                 continue
             cells.append(v)
         names.append(name)
@@ -264,18 +276,23 @@ def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
 
     if problems:
         raise InputError(problems, path)
-    if not specs:
-        raise InputError("no indicator rows", path)
+    # a correlation needs two columns
+    if len(specs) < 2:
+        raise InputError(f"need at least 2 indicators, got {len(specs)}", path)
     return IndicatorRegistry(specs=tuple(specs))
 
 
 def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatrix:
     """Read observations.csv, whose header must be 'state' plus the registry ids in order.
 
-    The file needs at least MIN_STATES states, and the registry at least 2 indicators.
+    The file needs at least MIN_STATES states; the cell rule holds every
+    value to a finite float.
     """
-    if len(registry) < 2:
-        raise InputError("at least 2 indicators are required to load observations")
+    return _load_matrix(path, registry, _FINITE)
+
+
+def _load_matrix(path, registry: IndicatorRegistry, within: tuple[float, float]) -> DataMatrix:
+    """load_observations with the cells held to the closed range within by the cell rule."""
     rows = _read_rows(path)
 
     header = [c.strip() for c in rows[0]]
@@ -301,7 +318,7 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
         raise InputError(problems, path)
 
     problems = []
-    states, data = _numeric_rows(rows, ids, _STATE_KEY, problems)
+    states, data = _numeric_rows(rows, ids, _STATE_KEY, problems, within)
     if not problems and len(states) < MIN_STATES:
         problems.append(f"found {len(states)} states, need at least {MIN_STATES}")
     if problems:
@@ -310,26 +327,14 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
 
 
 def load_gini(path: str | Path) -> GiniTable:
-    """Read gini.csv (state,gini) into a mapping; values must lie in [0, 1]."""
+    """Read gini.csv (state,gini) into a mapping; the cell rule holds each value to [0, 1]."""
     rows = _read_rows(path)
     _check_header(path, rows, GINI_HEADER)
-
     problems: list[str] = []
-    table: GiniTable = {}
-    for lineno, state, row in _keyed_rows(rows, len(GINI_HEADER), _STATE_KEY, problems):
-        try:
-            value = float(row[1])
-        except ValueError:
-            problems.append(f"row {lineno}: non-numeric gini {row[1]!r} for {state}")
-            continue
-        if not (0.0 <= value <= 1.0):
-            problems.append(f"row {lineno}: gini {value} for {state} outside [0, 1]")
-            continue
-        table[state] = value
-
+    states, values = _numeric_rows(rows, GINI_HEADER[1:], _STATE_KEY, problems, (0.0, 1.0))
     if problems:
         raise InputError(problems, path)
-    return table
+    return {state: value for state, (value,) in zip(states, values)}
 
 
 def validate_matrix(matrix: DataMatrix, path=None) -> dict[str, tuple[float, float]]:

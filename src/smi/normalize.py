@@ -5,8 +5,8 @@ reverse, with min and max taken over the observed sample. The result is
 a DataMatrix whose entries lie in [0, 1]. A constant column has no
 defined rescaling, nor has one whose max - min overflows, and
 dataset.validate_matrix rejects both. load_normalized reads that matrix
-back from a previous stage's normalized.csv, under the same rule and the
-[0, 1] bound.
+back from a previous stage's normalized.csv, under the same column rule
+and the input layer's cell rule with its range set to [0, 1].
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import (
-    DataMatrix, Direction, IndicatorRegistry, bare_matrix, load_observations, validate_matrix)
-from .errors import InputError
+    DataMatrix, Direction, IndicatorRegistry, _load_matrix, bare_matrix, validate_matrix)
 
 
 def normalize_column(values, direction: Direction, name: str = "<column>") -> np.ndarray:
@@ -47,8 +46,6 @@ def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
 
 def load_normalized(path, registry: IndicatorRegistry) -> DataMatrix:
     """Read a previous stage's normalized.csv: values in [0, 1], no constant column."""
-    matrix = load_observations(path, registry)
-    if np.min(matrix.values) < 0.0 or np.max(matrix.values) > 1.0:
-        raise InputError("normalized values must lie in [0, 1]", path)
+    matrix = _load_matrix(path, registry, (0.0, 1.0))
     validate_matrix(matrix, path)
     return matrix

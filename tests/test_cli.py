@@ -149,7 +149,8 @@ def test_cli_exit_one_on_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing_loadings", "directory_data", "latin1_gini",
-                                  "normalized_above_one", "ragged_loadings"])
+                                  "normalized_above_one", "ragged_loadings", "gini_above_one",
+                                  "gini_nan", "one_indicator"])
 def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     meta = tmp_path / "indicators.csv"
     meta.write_text(META2_POSITIVE, encoding="utf-8")
@@ -161,6 +162,8 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
     stage_args = ["--normalized", str(norm), "--meta", str(meta), "--out", str(tmp_path / "out")]
     run_args = ["run", "--data", str(data_dir / "observations_synthetic.csv"),
                 "--meta", str(data_dir / "indicators.csv"), "--out", str(tmp_path / "out")]
+    # the whole of stderr, for the cases that pin it
+    expected = None
     if case == "missing_loadings":
         bad = tmp_path / "missing.csv"
         args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(spectrum)]
@@ -172,21 +175,38 @@ def test_cli_bad_input_exits_one_naming_the_file(data_dir, tmp_path, case):
         bad = tmp_path / "loadings.csv"
         bad.write_text("indicator_id,PC1\na,0.7\nb\n", encoding="utf-8")
         args = ["score", *stage_args, "--loadings", str(bad), "--spectrum", str(spectrum)]
+        expected = f"error: {bad}: row 3: expected 2 fields, got 1\n"
     elif case == "latin1_gini":
         bad = tmp_path / "gini.csv"
         bad.write_bytes(b"state,gini\nB\xe9ziers,0.31\n")
         args = [*run_args, "--gini", str(bad)]
+    elif case == "gini_above_one":
+        bad = tmp_path / "gini.csv"
+        bad.write_text("state,gini\nAlpha,0.25\nGamma,0.3\nBeta,1.5\n", encoding="utf-8")
+        args = [*run_args, "--gini", str(bad)]
+        expected = f"error: {bad}: row 4: value '1.5' for (Beta, gini) outside [0, 1]\n"
+    elif case == "gini_nan":
+        bad = tmp_path / "gini.csv"
+        shipped = (data_dir / "gini.csv").read_text(encoding="utf-8")
+        assert "\nBihar,0.23\n" in shipped
+        bad.write_text(shipped.replace("\nBihar,0.23\n", "\nBihar,nan\n"), encoding="utf-8")
+        args = [*run_args, "--gini", str(bad)]
+        expected = f"error: {bad}: row 3: non-finite value 'nan' for (Bihar, gini)\n"
+    elif case == "one_indicator":
+        bad = meta
+        bad.write_text(META2_POSITIVE.rsplit("b,", 1)[0], encoding="utf-8")
+        args = [*run_args[:3], "--meta", str(bad), *run_args[5:]]
+        expected = f"error: {bad}: need at least 2 indicators, got 1\n"
     else:
         bad = norm
         bad.write_text("state,a,b\nA,0.0,1.0\nB,1.2,0.5\nC,1.0,0.0\n", encoding="utf-8")
         args = ["pca", *stage_args]
-    result = run_cli(*args)
-    assert result.returncode == 1, result.stderr
-    assert "Traceback" not in result.stderr
-    assert re.match(rf"error: (file not found: )?{re.escape(str(bad))}", result.stderr), \
-        result.stderr
-    if case == "ragged_loadings":
-        assert result.stderr == f"error: {bad}: row 3: expected 2 fields, got 1\n"
+        expected = f"error: {bad}: row 3: value '1.2' for (B, a) outside [0, 1]\n"
+    code, err = _main(*args)
+    assert code == 1, err
+    assert re.match(rf"error: (file not found: )?{re.escape(str(bad))}", err), err
+    if expected is not None:
+        assert err == expected
 
 
 def test_zero_weight_pillar_warned_once(data_dir, tmp_path):
@@ -418,6 +438,7 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
     ("five_field_row", "row 6: expected 4 fields, got 5"),
     ("misnamed_loadings_header", "header must be 'indicator_id,PC1,PC2,"),
     ("eight_loading_columns", "header must be 'indicator_id,PC1,PC2,PC3,PC4,PC5,PC6,PC7,PC8,PC9'"),
+    ("negative_eigenvalue", "row 3: eigenvalue -1.0 of PC2 is negative beyond round-off"),
 ])
 def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
     stages = tmp_path / "stages"
@@ -433,6 +454,10 @@ def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit,
         rows.pop()
     elif edit in ("nan_loading", "inf_eigenvalue"):
         rows[1][1] = edit[:3]
+    elif edit == "negative_eigenvalue":
+        # PC2 is selected, so its eigenvalue weights the indicators
+        assert rows[2][:1] == ["2"] and rows[2][3] == "1"
+        rows[2][1] = "-1.0"
     elif edit == "pc10_first":
         # PC10 is not selected, so the selected component numbers are still 1..9
         assert rows[10][:1] == ["10"] and rows[10][3] == "0"

@@ -248,8 +248,8 @@ def test_gini_problems_collected(tmp_path):
     messages = exc.value.errors
     assert len(messages) == 3
     assert f"{path}: row 3: duplicate state 'Alpha' (first seen at row 2)" in messages
-    assert f"{path}: row 4: gini 1.5 for Beta outside [0, 1]" in messages
-    assert f"{path}: row 5: non-numeric gini 'abc' for Gamma" in messages
+    assert f"{path}: row 4: value '1.5' for (Beta, gini) outside [0, 1]" in messages
+    assert f"{path}: row 5: non-numeric value 'abc' for (Gamma, gini)" in messages
 
 
 def test_validate_matrix_returns_column_ranges(small_registry):

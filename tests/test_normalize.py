@@ -124,7 +124,7 @@ def test_load_normalized_enforces_bounds(tmp_path):
         path.write_text(f"state,x0,x1\nA,0.5,0.0\nB,{cell},1.0\nC,1.0,0.5\n", encoding="utf-8")
         with pytest.raises(InputError) as exc:
             load_normalized(path, registry)
-        assert exc.value.errors == [f"{path}: normalized values must lie in [0, 1]"]
+        assert exc.value.errors == [f"{path}: row 3: value {cell!r} for (B, x0) outside [0, 1]"]
     path.write_text("state,x0,x1\nA,0.5,0.0\nB,0.0,1.0\nC,1.0,0.5\n", encoding="utf-8")
     assert load_normalized(path, registry).values[1].tolist() == [0.0, 1.0]
 
