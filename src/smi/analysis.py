@@ -82,25 +82,21 @@ def pillar_weight_totals(weights: WeightVector, registry: IndicatorRegistry) -> 
             for pillar, columns in _pillar_columns(registry).items()}
 
 
-def pillar_scores(norm: DataMatrix, weights: WeightVector,
-                  registry: IndicatorRegistry) -> list[tuple[str, str, float, bool]]:
-    """(state, pillar, score, is_best) rows: each state's weighted mean within each pillar.
+def pillar_scores(norm: DataMatrix, weights: WeightVector) -> dict[str, tuple[list[float], int]]:
+    """Each weighted pillar's sub-scores, in matrix row order, and the row of its best state.
 
-    The composite index's weighted mean restricted to the pillar's
-    columns, so the pillar scores are an exact weight-proportional
-    decomposition of the composite index. Rows run pillar by pillar in
-    registry order, states in matrix order. A pillar whose indicators all
-    carry zero weight has no rows. The best performer per pillar
-    (highest score, ties to the first state name) is flagged.
+    A sub-score is the composite index's weighted mean restricted to the
+    pillar's columns, so the pillar scores are an exact weight-proportional
+    decomposition of the composite index. Pillars come in registry order;
+    one whose indicators all carry zero weight is left out. The best state
+    has the highest sub-score, ties going to the first state name.
     """
     w = np.asarray(weights, dtype=np.float64)
-    totals = pillar_weight_totals(w, registry)
-    out = []
-    for pillar, columns in _pillar_columns(registry).items():
-        if totals[pillar] <= 0.0:
-            continue
-        means = _weighted_mean(norm.values[:, columns], w[columns])
-        values = dict(zip(norm.states, means.tolist()))
-        best_state = max(sorted(values), key=values.__getitem__)
-        out.extend((state, pillar, values[state], state == best_state) for state in norm.states)
+    totals = pillar_weight_totals(w, norm.registry)
+    out = {}
+    for pillar, columns in _pillar_columns(norm.registry).items():
+        if totals[pillar] > 0.0:
+            means = _weighted_mean(norm.values[:, columns], w[columns])
+            tied = np.flatnonzero(means == means.max()).tolist()
+            out[pillar] = means.tolist(), min(tied, key=norm.states.__getitem__)
     return out

@@ -280,7 +280,8 @@ def _analysis_stage(norm: DataMatrix, weights: np.ndarray, scores: dict[str, flo
     """Cross-tabulate, pair scores with Gini, split by pillar: (scenarios, scatter, pillars).
 
     Warns when there is no Gini file, for the states without a Gini
-    value, and for each pillar that carries no weight.
+    value, for the Gini rows of states not in the observations, and for
+    each pillar that carries no weight.
     """
     if not config.gini:
         warnings.append("no gini file given; every state is unclassified in the scenario table")
@@ -288,10 +289,12 @@ def _analysis_stage(norm: DataMatrix, weights: np.ndarray, scores: dict[str, flo
     scenarios = scenario_table({s.state: s.category for s in ranked}, ineq, config.gini_threshold)
     if config.gini and scenarios["unclassified"]:
         warnings.append("no gini value for: " + ", ".join(scenarios["unclassified"]))
-    pillars = pillar_scores(norm, weights, norm.registry)
-    scored = {pillar for _, pillar, _, _ in pillars}
+    unused = [state for state in gini if state not in ineq]
+    if unused:
+        warnings.append("gini rows for states not in the observations: " + ", ".join(unused))
+    pillars = pillar_scores(norm, weights)
     for pillar in dict.fromkeys(spec.pillar for spec in norm.registry):
-        if pillar not in scored:
+        if pillar not in pillars:
             warnings.append(f"pillar {pillar!r} has zero total weight; no sub-scores emitted")
     return scenarios, scatter_data(scores, gini), pillars
 
@@ -312,20 +315,26 @@ def _write_score_stage(out_dir: Path, registry: IndicatorRegistry, weights: np.n
 
 def run(config: RunConfig) -> dict:
     """Execute the full pipeline, write all stage dumps plus report.json, return the report."""
-    started = time.monotonic()
     started_at = datetime.now(timezone.utc).isoformat()
+    # the clock at the start and after each stage, for meta.stages
+    ticks = [time.perf_counter_ns()]
     out_dir, registry = _prepare(config)
     matrix = load_observations(config.data, registry)
     gini: GiniTable = load_gini(config.gini) if config.gini else {}
+    ticks.append(time.perf_counter_ns())
 
     # each stage appends its own warnings, so they come out in stage order
     warnings: list[str] = []
     ranges, norm = _normalize_stage(matrix, config)
+    ticks.append(time.perf_counter_ns())
     corr, spectrum, selection, loadings = _pca_stage(norm, config, warnings)
+    ticks.append(time.perf_counter_ns())
     weights, scores, thresholds, ranked = _score_stage(
         norm, loadings, spectrum.eigenvalues[:selection.count], config, warnings)
+    ticks.append(time.perf_counter_ns())
     scenarios, scatter, pillars = _analysis_stage(
         norm, weights, scores, ranked, gini, config, warnings)
+    ticks.append(time.perf_counter_ns())
 
     write_observations(norm, out_dir / "normalized.csv")
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
@@ -333,12 +342,14 @@ def run(config: RunConfig) -> dict:
     _write_json(out_dir / "scenarios.json", scenarios)
     _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
                 (f"{_field(s)},{_FIXED % g},{_FIXED % v}" for s, g, v in scatter))
-    # every state and pillar name recurs across pillars.csv, so each is quoted once
-    label = {text: _field(text) for text in (*norm.states, *(spec.pillar for spec in registry))}
-    pillar_line = f"%s,%s,{_FIXED},%s"
+    # pillar by pillar, each state and pillar name quoted once
+    quoted = [_field(state) for state in norm.states]
     _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-                (pillar_line % (label[s], label[p], v, "true" if best else "false")
-                 for s, p, v, best in pillars))
+                (f"{state},{name},{_FIXED % v},{'true' if i == best else 'false'}"
+                 for pillar, (values, best) in pillars.items() for name in [_field(pillar)]
+                 for i, (state, v) in enumerate(zip(quoted, values))))
+    # write covers the nine artifacts above: report.json cannot hold its own dump time
+    ticks.append(time.perf_counter_ns())
 
     total_variance = spectrum.total_variance
     report = {
@@ -390,7 +401,9 @@ def run(config: RunConfig) -> dict:
         "meta": {
             "engine": f"smi {__version__}",
             "started_at": started_at,
-            "elapsed_seconds": time.monotonic() - started,
+            "elapsed_seconds": (time.perf_counter_ns() - ticks[0]) / 1e9,
+            "stages": {name: (end - start) / 1e6 for name, start, end in zip(
+                ("load", "normalize", "pca", "score", "analysis", "write"), ticks, ticks[1:])},
         },
     }
     _write_json(out_dir / "report.json", report)

@@ -243,12 +243,13 @@ def test_c08_index_properties():
         scaled = composite_index(norm, weights * c)
         assert all(abs(scaled[s] - scores[s]) < 1e-12 for s in scores)
 
-        entries = pillar_scores(norm, weights, registry)
+        pillars = pillar_scores(norm, weights)
         totals = pillar_weight_totals(weights, registry)
         total_weight = sum(totals.values())
         by_state: dict[str, float] = {s: 0.0 for s in norm.states}
-        for state, pillar, score, _ in entries:
-            by_state[state] += score * totals[pillar] / total_weight
+        for pillar, (values, _) in pillars.items():
+            for state, score in zip(norm.states, values):
+                by_state[state] += score * totals[pillar] / total_weight
         for state in norm.states:
             assert abs(by_state[state] - scores[state]) < 1e-12
 

@@ -113,49 +113,41 @@ def test_pillar_weight_totals():
 
 
 def test_pillar_scores_hand_values():
-    norm, weights, registry = _two_pillar_setup()
-    entries = pillar_scores(norm, weights, registry)
-    value = {(state, pillar): score for state, pillar, score, _ in entries}
-    # Health for A: (1*3 + 0*1) / 4 = 0.75; B: all ones -> 1.0
-    assert value[("A", "Health")] == 0.75
-    assert value[("B", "Health")] == 1.0
-    assert value[("A", "Fair Wages")] == 1.0
-    assert value[("C", "Fair Wages")] == 0.5
-    best = {(pillar, state) for state, pillar, _, is_best in entries if is_best}
-    assert best == {("Health", "B"), ("Fair Wages", "A")}
-    assert all(0.0 <= score <= 1.0 for _, _, score, _ in entries)
+    norm, weights, _ = _two_pillar_setup()
+    pillars = pillar_scores(norm, weights)
+    # Health for A: (1*3 + 0*1) / 4 = 0.75; B: all ones -> 1.0; C: (0*3 + 0.5*1) / 4
+    assert pillars == {"Health": ([0.75, 1.0, 0.125], 1), "Fair Wages": ([1.0, 0.0, 0.5], 0)}
+    assert list(pillars) == ["Health", "Fair Wages"]
 
 
 def test_pillar_best_tie_goes_to_first_name():
     specs = (IndicatorSpec(id="h1", name="H1", pillar="Health",
                            direction=Direction.POSITIVE),)
     registry = IndicatorRegistry(specs=specs)
-    norm = DataMatrix(states=("Zeta", "Alpha"),
-                      values=np.array([[1.0], [1.0]]),
-                      registry=registry)
-    entries = pillar_scores(norm, np.array([2.0]), registry)
-    best = [state for state, _, _, is_best in entries if is_best]
-    assert best == ["Alpha"]
+    for states, values, best in [(("Zeta", "Alpha"), [1.0, 1.0], "Alpha"),
+                                 (("Alpha", "Zeta"), [1.0, 1.0], "Alpha"),
+                                 (("Zeta", "Mid", "Alpha", "Beta"), [1.0, 0.5, 1.0, 0.2], "Alpha")]:
+        norm = DataMatrix(states=states, values=np.array([values]).T, registry=registry)
+        _, row = pillar_scores(norm, np.array([2.0]))["Health"]
+        assert states[row] == best
 
 
 def test_pillar_zero_weight_skipped_with_warning():
-    norm, weights, registry = _two_pillar_setup()
+    norm, weights, _ = _two_pillar_setup()
     weights = weights.copy()
     weights[2] = 0.0
-    entries = pillar_scores(norm, weights, registry)
-    assert {pillar for _, pillar, _, _ in entries} == {"Health"}
+    assert list(pillar_scores(norm, weights)) == ["Health"]
 
 
 def test_pillar_decomposition_matches_index():
     norm, weights, registry = _two_pillar_setup()
-    entries = pillar_scores(norm, weights, registry)
+    pillars = pillar_scores(norm, weights)
     totals = pillar_weight_totals(weights, registry)
     scores = composite_index(norm, weights)
     total_weight = sum(totals.values())
-    for state in norm.states:
-        mix = sum(
-            score * totals[pillar] / total_weight
-            for s, pillar, score, _ in entries if s == state)
+    for i, state in enumerate(norm.states):
+        mix = sum(values[i] * totals[pillar] / total_weight
+                  for pillar, (values, _) in pillars.items())
         assert mix == pytest.approx(scores[state], abs=1e-12)
 
 
@@ -190,14 +182,21 @@ def test_pillar_scores_are_byte_identical_to_scalar_loops():
             for j in range(p))
         registry = IndicatorRegistry(specs=specs)
         values = rng.uniform(0, 1, (n, p))
-        norm = DataMatrix(states=tuple(f"s{i}" for i in range(n)), values=values,
-                          registry=registry)
+        if trial % 4 == 1:
+            values[-1] = values[0]
+        # later rows get earlier names, so a tie with row 0 goes to the last row
+        states = tuple(f"s{n - i:02d}" for i in range(n))
+        norm = DataMatrix(states=states, values=values, registry=registry)
         weights = rng.uniform(0, 3, p)
         if trial % 3 == 0:
             weights[[j for j, s in enumerate(specs) if s.pillar == specs[0].pillar]] = 0.0
         totals, expected = _reference_pillars(norm, weights, registry)
         assert pillar_weight_totals(weights, registry) == totals
-        got = {(state, pillar): score
-               for state, pillar, score, _ in pillar_scores(norm, weights, registry)}
+        scored = pillar_scores(norm, weights)
+        got = {(state, pillar): score for pillar, (subs, _) in scored.items()
+               for state, score in zip(states, subs)}
         assert got == expected
         assert list(got) == list(expected)
+        for subs, best in scored.values():
+            by_name = dict(zip(states, subs))
+            assert states[best] == max(sorted(by_name), key=by_name.__getitem__)

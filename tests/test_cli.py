@@ -582,6 +582,31 @@ def test_fixture_console_keeps_its_text(data_dir, tmp_path):
     assert console == FIXTURE_CONSOLE
 
 
+def test_gini_rows_of_unobserved_states_are_named(data_dir, tmp_path):
+    # Bihar misspelt, and a state the observations lack appended: both rows
+    # are named in file order, after the states left without a Gini value
+    gini = tmp_path / "gini.csv"
+    text = (data_dir / "gini.csv").read_text(encoding="utf-8")
+    gini.write_text(text.replace("Bihar,", "Bihr,") + "Atlantis,0.30\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, stderr = _console("run", *_fixture_args(data_dir, out), "--gini", str(gini))
+    assert code == 0
+    missing = "no gini value for: Andhra Pradesh, Bihar, Telangana"
+    unused = "gini rows for states not in the observations: Bihr, Atlantis"
+    assert stderr == EXTENDED + f"warning: {missing}\nwarning: {unused}\n"
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["warnings"][1:] == [missing, unused]
+
+
+def test_run_times_its_stages(data_dir, tmp_path):
+    run(base_config(data_dir, tmp_path))
+    meta = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["meta"]
+    stages = meta["stages"]
+    assert list(stages) == ["load", "normalize", "pca", "score", "analysis", "write"]
+    assert all(ms >= 0.0 for ms in stages.values())
+    assert sum(stages.values()) <= meta["elapsed_seconds"] * 1000.0
+
+
 @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory"])
 def test_unusable_out_exits_one_naming_the_path(data_dir, tmp_path, case):
     a_file = tmp_path / "a_file"
@@ -705,7 +730,24 @@ def _write_like_csv_writer(out, norm, stages, analysis=()) -> None:
         dump("scatter.csv", ["state", "gini", "smi"],
              ([s, fixed(g), fixed(v)] for s, g, v in scatter))
         dump("pillars.csv", ["state", "pillar", "score", "is_best"],
-             ([s, p, fixed(v), str(best).lower()] for s, p, v, best in pillars))
+             ([s, p, fixed(v), str(i == best).lower()]
+              for p, (values, best) in pillars.items()
+              for i, (s, v) in enumerate(zip(norm.states, values))))
+
+
+def _run_like_csv_writer(config, old) -> None:
+    """run()'s CSV artifacts for config, from the stage helpers and the reference writers."""
+    registry = smi.cli.load_indicator_metadata(config.meta)
+    _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry), config)
+    corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
+    weights, scores, _, ranked = smi.cli._score_stage(
+        norm, loadings, spectrum.eigenvalues[:selection.count], config, [])
+    gini = smi.cli.load_gini(config.gini) if config.gini else {}
+    _, scatter, pillars = smi.cli._analysis_stage(
+        norm, weights, scores, ranked, gini, config, [])
+    old.mkdir()
+    _write_like_csv_writer(old, norm, (corr, spectrum, selection, loadings, weights, ranked),
+                           (scatter, pillars))
 
 
 def _same_files(new, old) -> None:
@@ -747,19 +789,8 @@ def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_d
             csv.writer(fh).writerows(rows)
     config = base_config(tmp_path, tmp_path, out_dir=str(tmp_path / "run"))
     run(config)
-
-    registry = smi.cli.load_indicator_metadata(config.meta)
-    _, norm = smi.cli._normalize_stage(smi.cli.load_observations(config.data, registry), config)
-    corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
-    weights, scores, _, ranked = smi.cli._score_stage(
-        norm, loadings, spectrum.eigenvalues[:selection.count], config, [])
-    _, scatter, pillars = smi.cli._analysis_stage(
-        norm, weights, scores, ranked, smi.cli.load_gini(config.gini), config, [])
-    old = tmp_path / "old"
-    old.mkdir()
-    _write_like_csv_writer(old, norm, (corr, spectrum, selection, loadings, weights, ranked),
-                           (scatter, pillars))
-    _same_files(tmp_path / "run", old)
+    _run_like_csv_writer(config, tmp_path / "old")
+    _same_files(tmp_path / "run", tmp_path / "old")
 
     chained = tmp_path / "chained"
     assert _chain(tmp_path, chained) == [0, 0, 0]
@@ -770,6 +801,40 @@ def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_d
         assert set(states) <= {row[0] for row in csv.reader(fh)}
     with open(chained / "weights.csv", newline="", encoding="utf-8") as fh:
         assert ODD_ID in {row[0] for row in csv.reader(fh)}
+
+
+def test_run_pillars_csv_with_a_tie_and_a_zero_weight_pillar(tmp_path, monkeypatch):
+    # Zeta and Alpha tie for the best Health sub-score, and Fair Wages'
+    # weights are zeroed where the pipeline computes them
+    meta = tmp_path / "indicators.csv"
+    meta.write_text(META3 + "fw,Fair wage share,Fair Wages,positive\n", encoding="utf-8")
+    obs = tmp_path / "observations.csv"
+    obs.write_text(
+        "state,le,abr,mys,fw\n"
+        "Zeta,80,10,6,0.4\n"
+        '"Jammu, ""Kashmir""",70,30,9,0.9\n'
+        "Alpha,80,10,4,0.1\n"
+        "Mid,75,20,8,0.6\n", encoding="utf-8")
+    compute = smi.cli.compute_weights
+
+    def zero_fair_wages(loadings, eigenvalues):
+        weights = compute(loadings, eigenvalues)
+        weights[3] = 0.0
+        return weights
+
+    monkeypatch.setattr(smi.cli, "compute_weights", zero_fair_wages)
+    config = RunConfig(data=str(obs), meta=str(meta), out_dir=str(tmp_path / "run"))
+    warnings = run(config)["warnings"]
+    assert warnings.count("pillar 'Fair Wages' has zero total weight; no sub-scores emitted") == 1
+    _run_like_csv_writer(config, tmp_path / "old")
+    _same_files(tmp_path / "run", tmp_path / "old")
+    with open(tmp_path / "run" / "pillars.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["pillar"] for r in rows] == ["Health"] * 4 + ["Education Access"] * 4
+    assert [(r["state"], r["pillar"]) for r in rows if r["is_best"] == "true"] == [
+        ("Alpha", "Health"), ('Jammu, "Kashmir"', "Education Access")]
+    health = {r["state"]: r["score"] for r in rows if r["pillar"] == "Health"}
+    assert health["Zeta"] == health["Alpha"] == "1.000000"
 
 
 def test_field_quotes_like_csv_writer():
