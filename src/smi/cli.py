@@ -47,10 +47,8 @@ from .dataset import (
     GiniTable,
     IndicatorRegistry,
     _INDICATOR_KEY,
-    _check_header,
     _field,
-    _numeric_rows,
-    _read_rows,
+    _read_table,
     _write_rows,
     load_gini,
     load_indicator_metadata,
@@ -166,12 +164,7 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     selected (non-zero) must be a non-empty leading prefix PC1..PCk, and
     their eigenvalues no further below zero than scoring.PSD_SLACK.
     """
-    rows = _read_rows(path)
-    _check_header(path, rows, SPECTRUM_HEADER)
-    problems: list[str] = []
-    names, values = _numeric_rows(rows, SPECTRUM_HEADER[1:], ("component", "component"), problems)
-    if problems:
-        raise InputError(problems, path)
+    names, values = _read_table(path, SPECTRUM_HEADER, ("component", "component"))
     if len(values) != len(registry):
         raise InputError(
             f"{len(values)} eigenvalues for a registry of {len(registry)} indicators", path)
@@ -190,8 +183,13 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     return eigenvalues
 
 
+def _loadings_header(k: int) -> list[str]:
+    """The header of a loadings.csv of k components: indicator_id,PC1..PCk."""
+    return ["indicator_id", *(f"PC{j + 1}" for j in range(k))]
+
+
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
-    _write_rows(path, ["indicator_id", *(f"PC{j + 1}" for j in range(loadings.shape[1]))],
+    _write_rows(path, _loadings_header(loadings.shape[1]),
                 (_field(ind_id) + "," + ",".join(map(repr, row))
                  for ind_id, row in zip(ids, loadings.tolist())))
 
@@ -199,15 +197,9 @@ def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
 def read_loadings(path: Path, registry: IndicatorRegistry, k: int) -> np.ndarray:
     """The p x k loadings of a loadings.csv, one finite row per registry indicator in order.
 
-    The header must be indicator_id,PC1..PCk for the k components the spectrum selected.
+    The header must be _loadings_header(k), for the k components the spectrum selected.
     """
-    rows = _read_rows(path)
-    header = ["indicator_id", *(f"PC{j + 1}" for j in range(k))]
-    _check_header(path, rows, header)
-    problems: list[str] = []
-    names, values = _numeric_rows(rows, header[1:], _INDICATOR_KEY, problems)
-    if problems:
-        raise InputError(problems, path)
+    names, values = _read_table(path, _loadings_header(k), _INDICATOR_KEY)
     if tuple(names) != registry.ids:
         raise InputError("indicator rows do not match the registry", path)
     return np.array(values, dtype=np.float64)

@@ -5,10 +5,13 @@ direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
 opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
 empty file into an InputError naming it. Every reader, the pca stage's
-handoff readers included, applies the rules kept here: _check_header,
-_keyed_rows (the row rule) and _numeric_rows (the cell rule, the only
-code that parses a cell into a float and holds it to its range: finite
-by default, [0, 1] for gini.csv and normalized.csv). Every CSV
+handoff readers included, applies the rules kept here: _check_header
+(the header rule, the only code that compares a header row; a header
+that differs is reported by how it differs), _keyed_rows (the row rule)
+and _numeric_rows (the cell rule, the only code that parses a cell into
+a float and holds it to its range: finite by default, [0, 1] for
+gini.csv and normalized.csv). _read_table, which runs the three in
+turn, is the one reader of every numeric file. Every CSV
 it writes is opened by _write_rows, which writes lines each writer has
 already formatted, with labels quoted by _field. Loaders collect every
 problem they find and raise a single InputError listing all of them,
@@ -218,15 +221,17 @@ def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problem
         yield lineno, name, row
 
 
-def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems: list[str],
+def _numeric_rows(path, rows: list[list[str]], columns, key: tuple[str, str],
                   within: tuple[float, float] = _FINITE):
     """(names, values) of the _keyed_rows of a table whose key column is followed by columns.
 
     The cell rule: each cell after the key must be a float in the closed
-    range within, finite by default. One that is not is reported in
-    problems, naming its row, key and column.
+    range within, finite by default. InputError names path and lists
+    every cell that is not, by its row, key and column, with every row
+    the row rule rejects.
     """
     low, high = within
+    problems: list[str] = []
     names: list[str] = []
     values: list[list[float]] = []
     for lineno, name, row in _keyed_rows(rows, 1 + len(columns), key, problems):
@@ -246,12 +251,46 @@ def _numeric_rows(rows: list[list[str]], columns, key: tuple[str, str], problems
             cells.append(v)
         names.append(name)
         values.append(cells)
+    if problems:
+        raise InputError(problems, path)
     return names, values
 
 
 def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
-    if [c.strip() for c in rows[0]] != header:
-        raise InputError(f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}", path)
+    """The header rule: the first row, cells stripped, must be header.
+
+    Otherwise InputError lists how it differs: a misnamed first column, then
+    missing, unexpected or repeated columns, or else their order.
+    """
+    # a blank first line reads as no cells: report it as an empty first column
+    got = [c.strip() for c in rows[0]] or [""]
+    if got == header:
+        return
+    first, *expected = header
+    # the columns after the first are held to expected whatever the first is called
+    columns = got[1:]
+    missing = [c for c in expected if c not in columns]
+    extra = [c for c in columns if c not in expected]
+    repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
+    problems = [] if got[0] == first else [f"first header column must be {first!r}, got {got[0]!r}"]
+    if missing:
+        problems.append(f"missing columns: {', '.join(missing)}")
+    if extra:
+        problems.append(f"unexpected columns: {', '.join(extra)}")
+    if repeated:
+        problems.append(f"duplicate columns: {', '.join(repeated)}")
+    raise InputError(problems or [f"columns are not in the order {','.join(header)!r}"], path)
+
+
+def _read_table(path, header: list[str], key: tuple[str, str],
+                within: tuple[float, float] = _FINITE):
+    """(names, values) of a numeric CSV file under header: the one reader of every such file.
+
+    The header rule, then the row rule (key names the first column) and the cell rule.
+    """
+    rows = _read_rows(path)
+    _check_header(path, rows, header)
+    return _numeric_rows(path, rows, header[1:], key, within)
 
 
 def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
@@ -293,47 +332,15 @@ def load_observations(path: str | Path, registry: IndicatorRegistry) -> DataMatr
 
 def _load_matrix(path, registry: IndicatorRegistry, within: tuple[float, float]) -> DataMatrix:
     """load_observations with the cells held to the closed range within by the cell rule."""
-    rows = _read_rows(path)
-
-    header = [c.strip() for c in rows[0]]
-    ids = registry.ids
-    expected = ["state", *ids]
-    if header != expected:
-        problems = []
-        # the indicator columns follow the state column whatever it is called
-        columns = header[1:]
-        missing = [i for i in ids if i not in columns]
-        extra = [c for c in columns if c not in ids]
-        repeated = [c for c in dict.fromkeys(columns) if columns.count(c) > 1]
-        if header and header[0] != "state":
-            problems.append(f"first header column must be 'state', got {header[0]!r}")
-        if missing:
-            problems.append(f"missing indicator columns: {', '.join(missing)}")
-        if extra:
-            problems.append(f"unexpected columns: {', '.join(extra)}")
-        if repeated:
-            problems.append(f"duplicate columns: {', '.join(repeated)}")
-        if not problems:
-            problems.append("indicator columns are not in registry order")
-        raise InputError(problems, path)
-
-    problems = []
-    states, data = _numeric_rows(rows, ids, _STATE_KEY, problems, within)
-    if not problems and len(states) < MIN_STATES:
-        problems.append(f"found {len(states)} states, need at least {MIN_STATES}")
-    if problems:
-        raise InputError(problems, path)
+    states, data = _read_table(path, ["state", *registry.ids], _STATE_KEY, within)
+    if len(states) < MIN_STATES:
+        raise InputError(f"found {len(states)} states, need at least {MIN_STATES}", path)
     return DataMatrix(states=tuple(states), values=np.array(data, dtype=np.float64), registry=registry)
 
 
 def load_gini(path: str | Path) -> GiniTable:
     """Read gini.csv (state,gini) into a mapping; the cell rule holds each value to [0, 1]."""
-    rows = _read_rows(path)
-    _check_header(path, rows, GINI_HEADER)
-    problems: list[str] = []
-    states, values = _numeric_rows(rows, GINI_HEADER[1:], _STATE_KEY, problems, (0.0, 1.0))
-    if problems:
-        raise InputError(problems, path)
+    states, values = _read_table(path, GINI_HEADER, _STATE_KEY, (0.0, 1.0))
     return {state: value for state, (value,) in zip(states, values)}
 
 

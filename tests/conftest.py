@@ -2,6 +2,7 @@
 
 import csv
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ SRC_DIR = DATA_DIR.parent / "src"
 # same source tree as the in-process tests (pyproject's pytest pythonpath)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+# hypothesis caches the constants it finds in the source under its home
+# directory, whatever the example database setting; keep that out of the tree
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "smi-hypothesis"))
 
 
 @pytest.fixture(scope="session")

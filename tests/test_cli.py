@@ -436,8 +436,10 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
     ("inf_eigenvalue", "row 2: non-finite value 'inf' for (1, eigenvalue)"),
     ("pc10_first", "components must be 1..31 in file order"),
     ("five_field_row", "row 6: expected 4 fields, got 5"),
-    ("misnamed_loadings_header", "header must be 'indicator_id,PC1,PC2,"),
-    ("eight_loading_columns", "header must be 'indicator_id,PC1,PC2,PC3,PC4,PC5,PC6,PC7,PC8,PC9'"),
+    ("misnamed_loadings_header", "duplicate columns: PC3"),
+    ("eight_loading_columns", "missing columns: PC9"),
+    ("no_selected_column", "missing columns: selected"),
+    ("swapped_loading_rows", "indicator rows do not match the registry"),
     ("negative_eigenvalue", "row 3: eigenvalue -1.0 of PC2 is negative beyond round-off"),
 ])
 def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
@@ -467,6 +469,11 @@ def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit,
     elif edit == "eight_loading_columns":
         # PC1..PC8 against a spectrum that selects PC1..PC9
         rows = [row[:9] for row in rows]
+    elif edit == "no_selected_column":
+        rows = [row[:3] for row in rows]
+    elif edit == "swapped_loading_rows":
+        # every cell is still a finite loading, only the indicator order is wrong
+        rows[1], rows[2] = rows[2], rows[1]
     else:
         assert rows[0][2] == "PC2"
         rows[0][2] = "PC3"

@@ -155,8 +155,9 @@ def test_observations_accept_byte_order_mark(tmp_path, small_registry):
 def test_observations_header_must_match_registry_order(tmp_path, small_registry):
     path = tmp_path / "obs.csv"
     path.write_text("state,abr,le,mys\nA,1,2,3\nB,4,5,6\nC,7,8,9\n", encoding="utf-8")
-    with pytest.raises(InputError, match="not in registry order"):
+    with pytest.raises(InputError) as exc:
         load_observations(path, small_registry)
+    assert exc.value.errors == [f"{path}: columns are not in the order 'state,le,abr,mys'"]
 
 
 def test_observations_reports_missing_and_extra_columns(tmp_path, small_registry):
@@ -165,7 +166,7 @@ def test_observations_reports_missing_and_extra_columns(tmp_path, small_registry
     with pytest.raises(InputError) as exc:
         load_observations(path, small_registry)
     joined = "; ".join(exc.value.errors)
-    assert "missing indicator columns: abr" in joined
+    assert "missing columns: abr" in joined
     assert "unexpected columns: bogus" in joined
 
 
@@ -174,7 +175,7 @@ def test_observations_reports_repeated_columns(tmp_path, small_registry):
     path.write_text("state,le,abr,abr\nA,1,2,3\n", encoding="utf-8")
     with pytest.raises(InputError) as exc:
         load_observations(path, small_registry)
-    assert exc.value.errors == [f"{path}: missing indicator columns: mys",
+    assert exc.value.errors == [f"{path}: missing columns: mys",
                                 f"{path}: duplicate columns: abr"]
     path.write_text("state,le,abr,mys,mys\nA,1,2,3,3\n", encoding="utf-8")
     with pytest.raises(InputError) as exc:
@@ -189,6 +190,16 @@ def test_observations_misnamed_state_column_is_the_only_problem(tmp_path, small_
     with pytest.raises(InputError) as exc:
         load_observations(path, small_registry)
     assert exc.value.errors == [f"{path}: first header column must be 'state', got 'region'"]
+
+
+def test_observations_blank_first_line_names_the_first_column(tmp_path, small_registry):
+    # the blank line is the header row, so the header one line down is not seen as one
+    path = tmp_path / "obs.csv"
+    path.write_text("\n" + OBS, encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_observations(path, small_registry)
+    assert exc.value.errors == [f"{path}: first header column must be 'state', got ''",
+                                f"{path}: missing columns: le, abr, mys"]
 
 
 def test_observations_cell_problems_name_state_and_indicator(tmp_path, small_registry):
@@ -231,6 +242,16 @@ def test_gini_happy_and_empty(tmp_path):
     header_only = tmp_path / "empty.csv"
     header_only.write_text("state,gini\n", encoding="utf-8")
     assert load_gini(header_only) == {}
+
+
+def test_gini_header_reports_how_it_differs(tmp_path):
+    path = tmp_path / "gini.csv"
+    path.write_text("State,Gini\nAlpha,0.25\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_gini(path)
+    assert exc.value.errors == [f"{path}: first header column must be 'state', got 'State'",
+                                f"{path}: missing columns: gini",
+                                f"{path}: unexpected columns: Gini"]
 
 
 def test_gini_accepts_byte_order_mark(tmp_path):
