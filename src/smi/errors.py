@@ -28,7 +28,7 @@ class InputError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: eigensolver non-convergence, zero total weight."""
+    """Numerical failure: an eigendecomposition that fails its certificate, zero total weight."""
 
     def __init__(self, message: str, residual: float | None = None):
         self.residual = residual

@@ -914,3 +914,48 @@ def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path, case):
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
                for name in ARTIFACTS}
     assert digests == dict(zip(ARTIFACTS, FIXTURE_DIGESTS[case].split()))
+
+
+def _emulate_another_build(monkeypatch, eps, seed) -> None:
+    # another BLAS build's eigenvectors, emulated as LAPACK's V times an
+    # orthogonal Q within eps of I: Q = I + S for a skew-symmetric S with
+    # ||S||_F = eps is orthogonal up to eps^2, far below rounding here
+    rng = np.random.default_rng(seed)
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        w, v = eigh(m)
+        g = rng.normal(0.0, 1.0, v.shape)
+        s = g - g.T
+        return w, v @ (np.eye(len(v)) + (eps / np.linalg.norm(s)) * s)
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+@pytest.mark.parametrize("eps, seed", [(1e-15, 0), (1e-15, 1), (1e-13, 0), (1e-13, 1)])
+def test_fixture_bytes_survive_another_builds_eigenvectors(data_dir, tmp_path, monkeypatch,
+                                                           eps, seed):
+    _emulate_another_build(monkeypatch, eps, seed)
+    run(base_config(data_dir, tmp_path))
+    digests = [hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+               for name in ARTIFACTS]
+    assert digests == FIXTURE_DIGESTS["correlation-unit-exclusive"].split()
+
+
+def test_eigenvectors_too_far_from_this_builds_exit_two_writing_nothing(data_dir, tmp_path,
+                                                                        monkeypatch):
+    out = tmp_path / "out"
+    meta = str(data_dir / "indicators.csv")
+    assert _main("normalize", *_fixture_args(data_dir, out))[0] == 0
+    normalized = (out / "normalized.csv").read_bytes()
+    _emulate_another_build(monkeypatch, 1e-11, 0)
+    code, stdout, stderr = _console("pca", "--normalized", str(out / "normalized.csv"),
+                                    "--meta", meta, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert re.fullmatch(r"numerical failure: eigendecomposition not certified: off-diagonal "
+                        r"norm of V\^T A V is not below \S+ \(residual \S+\)\n", stderr), stderr
+    assert [p.name for p in out.iterdir()] == ["normalized.csv"]
+    assert (out / "normalized.csv").read_bytes() == normalized
+    code, stdout, stderr = _console("run", *_fixture_args(data_dir, tmp_path / "run"))
+    assert (code, stdout) == (2, "") and stderr.startswith("numerical failure: ")
+    assert list((tmp_path / "run").iterdir()) == []

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -159,9 +158,9 @@ def test_eigendecompose_reconstructs_input():
     assert np.allclose(rebuilt, a, atol=1e-10)
 
 
-def _polish_path_matrix() -> np.ndarray:
-    # at this scale the seed's rounding residual exceeds the absolute tol,
-    # so the Jacobi rotations must run
+def _scaled_matrix() -> np.ndarray:
+    # at this scale the seed's residual exceeds 1e-12 in absolute terms,
+    # though not relative to the matrix's norm
     rng = np.random.default_rng(13)
     a = rng.normal(0, 1, (12, 12))
     return 1e6 * (a + a.T) / 2.0
@@ -170,7 +169,7 @@ def _polish_path_matrix() -> np.ndarray:
 def test_eigendecompose_is_bit_deterministic():
     rng = np.random.default_rng(10)
     a = rng.normal(0, 1, (9, 9))
-    for m in ((a + a.T) / 2.0, _polish_path_matrix()):
+    for m in ((a + a.T) / 2.0, _scaled_matrix()):
         first = eigendecompose(m)
         second = eigendecompose(m)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
@@ -188,11 +187,10 @@ def test_eigendecompose_input_checks():
         eigendecompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
-def test_eigendecompose_nonconvergence_raises_with_residual(monkeypatch):
+def test_eigendecompose_uncertified_seed_raises_with_residual(monkeypatch):
     # the LAPACK seed leaves a rounding-level residual that no positive
-    # tolerance this small accepts, and no sweep is allowed to reduce it
+    # tolerance this small certifies
     monkeypatch.setattr(smi.pca, "DEFAULT_TOL", 1e-300)
-    monkeypatch.setattr(smi.pca, "DEFAULT_MAX_SWEEPS", 0)
     rng = np.random.default_rng(11)
     a = rng.normal(0, 1, (9, 9))
     a = (a + a.T) / 2.0
@@ -202,43 +200,49 @@ def test_eigendecompose_nonconvergence_raises_with_residual(monkeypatch):
     assert "residual" in str(exc.value)
 
 
-def test_eigendecompose_polishes_when_seed_misses_tol():
-    a = _polish_path_matrix()
+def test_eigendecompose_certifies_a_scaled_matrix():
+    a = _scaled_matrix()
     spec = eigendecompose(a)
-    assert spec.sweeps >= 1
-    assert spec.off_diagonal_norm < 1e-12
+    norm = math.sqrt(float(np.sum(a * a)))
+    assert spec.sweeps == 0
+    assert 1e-12 <= spec.off_diagonal_norm < 1e-12 * norm
     expected = np.linalg.eigvalsh(a)[::-1]
     assert float(np.max(np.abs(spec.eigenvalues - expected))) <= (
         1e-9 * float(np.max(np.abs(expected))))
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
     assert np.allclose(rebuilt, a, rtol=0.0, atol=1e-8 * float(np.max(np.abs(a))))
-    # the rotations keep the eigenvectors orthonormal
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert float(np.max(np.abs(gram - np.eye(12)))) <= 1e-12
 
 
-def test_eigendecompose_converges_from_an_identity_seed(monkeypatch):
-    # with no help from LAPACK the rotations alone must diagonalise the
-    # matrix, as the unseeded Jacobi method does
+def test_eigendecompose_refuses_an_identity_seed(monkeypatch):
+    # an identity seed leaves V^T A V = A, whose off-diagonal entries are
+    # nowhere near a rounding residual: the certificate refuses it
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, np.eye(len(m))))
     rng = np.random.default_rng(14)
     a = rng.normal(0, 1, (10, 10))
     a = (a + a.T) / 2.0
-    spec = eigendecompose(a)
-    assert spec.sweeps >= 3
-    assert spec.off_diagonal_norm < 1e-12
-    # an identity seed makes V^T A V exact, and every rotation is elementwise
-    # float arithmetic plus math.sqrt, so the polish's bits do not depend on
-    # the BLAS build: any change to its arithmetic shows here
-    assert spec.sweeps == 5
-    assert hashlib.sha256(spec.eigenvalues.tobytes() + spec.eigenvectors.tobytes()).hexdigest() \
-        == "742f8f520ccbd35486634428238b6f5208b8bca12993222065a83180e427ddee"
-    monkeypatch.undo()
-    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-12)
-    rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
-    assert np.allclose(rebuilt, a, rtol=0.0, atol=1e-12)
-    gram = spec.eigenvectors.T @ spec.eigenvectors
-    assert float(np.max(np.abs(gram - np.eye(10)))) <= 1e-12
+    with pytest.raises(NumericalError) as exc:
+        eigendecompose(a)
+    upper = a[np.triu_indices(10, 1)]
+    assert exc.value.residual == pytest.approx(math.sqrt(2.0 * float(np.sum(upper * upper))))
+    assert exc.value.residual > 1.0
+    assert "residual" in str(exc.value)
+
+
+def test_eigendecompose_is_scale_equivariant():
+    # a power-of-two scale is exact in every product and sum, so the
+    # eigenvectors keep their bytes and the eigenvalues scale exactly
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        p = int(rng.integers(2, 40))
+        a = rng.normal(0, 1, (p, p))
+        a = (a + a.T) / 2.0
+        base = eigendecompose(a)
+        for k in (-20, -10, 10, 20, 30):
+            scaled = eigendecompose(math.ldexp(1.0, k) * a)
+            assert scaled.eigenvectors.tobytes() == base.eigenvectors.tobytes()
+            assert scaled.eigenvalues.tobytes() == (math.ldexp(1.0, k) * base.eigenvalues).tobytes()
 
 
 def test_eigendecompose_handles_rank_deficiency():
