@@ -344,15 +344,14 @@ def run(config: RunConfig) -> dict:
     ticks.append(time.perf_counter_ns())
 
     total_variance = spectrum.total_variance
+    # README's "report.json" section documents every key; a key removal or
+    # a type change bumps schema_version
     report = {
+        "schema_version": 1,
         "config": config.as_dict(),
-        # a constant column stops the run in validate_matrix, so none is left to flag
         "validation": {
-            "columns": [
-                {"indicator_id": ind_id, "min": lo, "max": hi, "constant": False}
-                for ind_id, (lo, hi) in ranges.items()
-            ],
-            "fatal": [],
+            "columns": [{"indicator_id": ind_id, "min": lo, "max": hi}
+                        for ind_id, (lo, hi) in ranges.items()],
         },
         "spectrum": {
             "components": [
@@ -365,25 +364,16 @@ def run(config: RunConfig) -> dict:
                 for j, value in enumerate(spectrum.eigenvalues)
             ],
             "trace": total_variance,
-            "sweeps": spectrum.sweeps,
             "off_diagonal_norm": spectrum.off_diagonal_norm,
         },
         "selection": {
-            "eigen_threshold": config.eigen_threshold,
-            "variance_target": config.variance_target,
             "threshold_count": selection.threshold_count,
             "selected_count": selection.count,
             "explained_variance_ratio": selection.explained_variance_ratio,
             "extended": selection.extended,
         },
         "weights": {ind_id: float(w) for ind_id, w in zip(registry.ids, weights)},
-        "thresholds": {
-            "t_low": thresholds.t_low,
-            "t_high": thresholds.t_high,
-            "low_percentile": config.low_percentile,
-            "high_percentile": config.high_percentile,
-            "percentile_method": config.percentile_method.value,
-        },
+        "thresholds": {"t_low": thresholds.t_low, "t_high": thresholds.t_high},
         "scores": [
             {"state": s.state, "smi": s.smi, "rank": s.rank, "category": s.category.value}
             for s in ranked

@@ -46,7 +46,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    # always 0, kept because report.json and perfbench read it
+    # always 0; perfbench reads it
     sweeps: int = 0
     off_diagonal_norm: float = 0.0
 
@@ -125,11 +125,15 @@ def correlation_matrix(data, basis: Basis = Basis.CORRELATION, path=None) -> Sym
     return corr
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # a 1 x 1 matrix has no upper triangle, and the empty sum is 0.0
-    upper = a[np.triu_indices(a.shape[0], 1)]
-    # numpy's pairwise reduction has a fixed order, so this stays reproducible
-    return math.sqrt(2.0 * float(np.sum(upper * upper)))
+def _frobenius(values: np.ndarray, exponent: int, factor: float = 1.0) -> float:
+    """sqrt(factor * sum of squares) of values, squared at the scale 2**-exponent.
+
+    Scaling by a power of two is exact, so where the unscaled squares
+    neither overflow nor underflow the result keeps its bits; numpy's
+    pairwise reduction has a fixed order, so it stays reproducible.
+    """
+    scaled = np.ldexp(values, -exponent)
+    return math.ldexp(math.sqrt(factor * float(np.sum(scaled * scaled))), exponent)
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -156,16 +160,19 @@ def eigendecompose(m: SymmetricMatrix) -> Spectrum:
         raise InputError("eigendecompose needs a square matrix")
     if not np.all(np.isfinite(a)):
         raise InputError("eigendecompose needs finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    top = float(np.max(np.abs(a)))
+    if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, top):
         raise InputError("matrix is not symmetric within 1e-12")
     a = (a + a.T) / 2.0
     _, v = np.linalg.eigh(a)
     # B = V^T A V, made bitwise symmetric
     b = v.T @ a @ v
     b = (b + b.T) / 2.0
-    off = _off_diagonal_norm(b)
-    bound = DEFAULT_TOL * max(1.0, math.sqrt(float(np.sum(a * a))))
+    # both norms square at the scale of the largest entry, so neither
+    # overflows; a 1 x 1 B has no upper triangle, and the empty sum is 0.0
+    exponent = math.frexp(top)[1]
+    off = _frobenius(b[np.triu_indices(len(b), 1)], exponent, 2.0)
+    bound = DEFAULT_TOL * max(1.0, _frobenius(a, exponent))
     # "not <" refuses a NaN residual too
     if not off < bound:
         raise NumericalError(

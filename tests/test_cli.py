@@ -73,15 +73,16 @@ def test_config_validation():
 
 def test_run_report_structure(data_dir, tmp_path):
     report = run(base_config(data_dir, tmp_path))
-    assert list(report) == ["config", "validation", "spectrum", "selection", "weights",
-                            "thresholds", "scores", "scenarios", "warnings", "meta"]
+    assert list(report) == ["schema_version", "config", "validation", "spectrum", "selection",
+                            "weights", "thresholds", "scores", "scenarios", "warnings", "meta"]
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert list(on_disk) == list(report)
     assert len(report["scores"]) == 22
     assert sorted(s["rank"] for s in report["scores"]) == list(range(1, 23))
     assert report["thresholds"]["t_low"] <= report["thresholds"]["t_high"]
     assert len(report["weights"]) == 31
-    assert report["validation"]["fatal"] == []
+    assert all(list(column) == ["indicator_id", "min", "max"]
+               for column in report["validation"]["columns"])
     components = report["spectrum"]["components"]
     assert len(components) == 31
     assert sum(1 for c in components if c["selected"]) == report["selection"]["selected_count"]

@@ -1,0 +1,102 @@
+"""The method's metamorphic relations, end to end through run() on the fixture.
+
+Negating a raw column and flipping its declared direction changes no
+output byte. Reordering the rows, or mapping a raw column through a
+positive affine map, moves no score by more than rounding, and no rank
+of a state that no other state comes within 1e-9 of. Reference: Chen et
+al., "Metamorphic Testing: A Review of Challenges and Opportunities",
+ACM Comput. Surv. 51(1), 2018.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smi.cli import RunConfig, run
+
+# every artifact but report.json, which echoes the input paths and raw ranges
+ARTIFACTS = ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv", "weights.csv",
+             "scores.csv", "scenarios.json", "scatter.csv", "pillars.csv")
+NEAR_TIE = 1e-9
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def _read(name: str) -> tuple[list[str], list[list[str]]]:
+    with open(DATA_DIR / name, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+OBS_HEADER, OBS_ROWS = _read("observations_synthetic.csv")
+META_HEADER, META_ROWS = _read("indicators.csv")
+COLUMNS = st.integers(1, len(OBS_HEADER) - 1)
+
+
+def _write(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("metamorphic")
+
+
+def _run(work, name: str, obs_rows=OBS_ROWS, meta_rows=META_ROWS) -> dict:
+    """run() on the given table and registry rows, the shipped gini.csv, out to work/name."""
+    _write(work / "observations.csv", OBS_HEADER, obs_rows)
+    _write(work / "indicators.csv", META_HEADER, meta_rows)
+    return run(RunConfig(data=str(work / "observations.csv"), meta=str(work / "indicators.csv"),
+                         gini=str(DATA_DIR / "gini.csv"), out_dir=str(work / name)))
+
+
+@pytest.fixture(scope="module")
+def shipped(work) -> dict:
+    return _run(work, "shipped")
+
+
+def _with_column(column: int, change) -> list[list[str]]:
+    """The fixture's rows with change applied to the text of each cell in one column."""
+    return [[*row[:column], change(row[column]), *row[column + 1:]] for row in OBS_ROWS]
+
+
+def _assert_scores_kept(report: dict, shipped: dict, tol: float) -> None:
+    got = {entry["state"]: entry for entry in report["scores"]}
+    assert got.keys() == {entry["state"] for entry in shipped["scores"]}
+    for entry in shipped["scores"]:
+        assert abs(got[entry["state"]]["smi"] - entry["smi"]) <= tol, entry["state"]
+        if all(abs(other["smi"] - entry["smi"]) >= NEAR_TIE
+               for other in shipped["scores"] if other is not entry):
+            assert got[entry["state"]]["rank"] == entry["rank"], entry["state"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=31)
+@given(column=COLUMNS)
+def test_negating_a_column_and_flipping_its_direction_keeps_every_byte(work, shipped, column):
+    # negating the text is exact, so max' - x' is x - min in every bit
+    obs = _with_column(column, lambda cell: cell[1:] if cell.startswith("-") else "-" + cell)
+    meta = [row[:3] + [{"positive": "negative", "negative": "positive"}[row[3]]]
+            if k == column - 1 else row for k, row in enumerate(META_ROWS)]
+    _run(work, "negated", obs, meta)
+    for name in ARTIFACTS:
+        assert (work / "negated" / name).read_bytes() == (work / "shipped" / name).read_bytes(), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(order=st.permutations(range(len(OBS_ROWS))))
+def test_reordering_the_rows_keeps_every_score(work, shipped, order):
+    _assert_scores_kept(_run(work, "reordered", [OBS_ROWS[i] for i in order]), shipped, 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(column=COLUMNS, log_a=st.floats(-5.0, 5.0), b=st.floats(-1e3, 1e3))
+def test_a_positive_affine_map_of_a_column_keeps_every_score(work, shipped, column, log_a, b):
+    a = math.exp(log_a)
+    obs = _with_column(column, lambda cell: repr(a * float(cell) + b))
+    _assert_scores_kept(_run(work, "mapped", obs), shipped, 1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,19 +216,35 @@ def test_eigendecompose_certifies_a_scaled_matrix():
     assert float(np.max(np.abs(gram - np.eye(12)))) <= 1e-12
 
 
+def _random_symmetric(seed: int, p: int) -> np.ndarray:
+    a = np.random.default_rng(seed).normal(0, 1, (p, p))
+    return (a + a.T) / 2.0
+
+
 def test_eigendecompose_refuses_an_identity_seed(monkeypatch):
     # an identity seed leaves V^T A V = A, whose off-diagonal entries are
     # nowhere near a rounding residual: the certificate refuses it
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, np.eye(len(m))))
-    rng = np.random.default_rng(14)
-    a = rng.normal(0, 1, (10, 10))
-    a = (a + a.T) / 2.0
-    with pytest.raises(NumericalError) as exc:
-        eigendecompose(a)
-    upper = a[np.triu_indices(10, 1)]
-    assert exc.value.residual == pytest.approx(math.sqrt(2.0 * float(np.sum(upper * upper))))
-    assert exc.value.residual > 1.0
-    assert "residual" in str(exc.value)
+    # the second matrix's ||A||_F squared unscaled overflows, and an
+    # infinite bound would certify anything
+    for a in (_random_symmetric(14, 10), np.array([[1e160, 1e150], [1e150, 1e160]])):
+        with pytest.raises(NumericalError) as exc:
+            eigendecompose(a)
+        upper = a[np.triu_indices(len(a), 1)]
+        assert exc.value.residual == pytest.approx(math.sqrt(2.0 * float(np.sum(upper * upper))))
+        assert exc.value.residual > 1.0
+        bound = float(re.search(r"not below (\S+) ", str(exc.value)).group(1))
+        assert math.isfinite(bound) and bound < exc.value.residual
+        assert "residual" in str(exc.value)
+
+
+def test_eigendecompose_certifies_a_huge_matrix():
+    # entries near 1e160 square past the float range; under pytest's
+    # warnings-as-errors an overflow in either norm fails this test
+    a = _random_symmetric(16, 8)
+    spec = eigendecompose(1e160 * a)
+    assert 0.0 < spec.off_diagonal_norm < 1e-12 * 1e160 * math.sqrt(float(np.sum(a * a)))
+    assert spec.eigenvalues / 1e160 == pytest.approx(np.linalg.eigvalsh(a)[::-1], rel=1e-12)
 
 
 def test_eigendecompose_is_scale_equivariant():

@@ -1,6 +1,8 @@
 """README's claims: its "Library use" example runs as written and prints the
-fixture's ranking, and the seeded script regenerates the fixture."""
+fixture's ranking, its report.json table documents every key a run writes,
+and the seeded script regenerates the fixture."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -30,6 +32,46 @@ def test_readme_library_use_prints_the_fixture_ranking(data_dir, tmp_path):
                 for s in report["scores"]]
     assert len(expected) == 22
     assert result.stdout.splitlines() == expected
+
+
+# the JSON type of each value json.loads returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
+               float: "number", type(None): "null"}
+# the maps keyed by data or by enum values, and the placeholder README writes for their keys
+_PLACEHOLDERS = {"weights": "<indicator_id>", "scenarios.grid": "<category>",
+                 "scenarios.grid.<category>": "<inequality>"}
+
+
+def _key_paths(value, path: str, found: dict[str, set[str]]) -> None:
+    """Add the JSON type of value, and of each value under it, to found by key path."""
+    if path:
+        found.setdefault(path, set()).add(_JSON_TYPES[type(value)])
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _key_paths(item, f"{path}.{_PLACEHOLDERS.get(path, key)}" if path else key, found)
+    elif isinstance(value, list):
+        for item in value:
+            _key_paths(item, path + "[]", found)
+
+
+def _readme_report_rows() -> list[tuple[str, set[str]]]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## report.json\n", 1)[1].split("\n## ", 1)[0]
+    return [(path, set(types.split(" or "))) for path, types in
+            re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, re.MULTILINE)]
+
+
+def test_readme_documents_every_report_key(data_dir, tmp_path):
+    # between them, the two reports hold every key path and type: only the
+    # first has states in the grid cells, only the second a null config.gini
+    found: dict[str, set[str]] = {}
+    for gini in (str(data_dir / "gini.csv"), None):
+        run(RunConfig(data=str(data_dir / "observations_synthetic.csv"),
+                      meta=str(data_dir / "indicators.csv"), gini=gini, out_dir=str(tmp_path)))
+        _key_paths(json.loads((tmp_path / "report.json").read_text(encoding="utf-8")), "", found)
+    rows = _readme_report_rows()
+    assert len(dict(rows)) == len(rows), "a key path has two rows"
+    assert dict(rows) == found
 
 
 def test_generator_script_reproduces_the_shipped_fixture(data_dir, tmp_path):
