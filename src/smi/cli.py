@@ -164,7 +164,9 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     selected (non-zero) must be a non-empty leading prefix PC1..PCk, and
     their eigenvalues no further below zero than scoring.PSD_SLACK.
     """
-    names, values = _read_table(path, SPECTRUM_HEADER, ("component", "component"))
+    names, table = _read_table(path, SPECTRUM_HEADER, ("component", "component"))
+    # Python floats, so that messages show an eigenvalue as 0.5, not np.float64(0.5)
+    values = table.tolist()
     if len(values) != len(registry):
         raise InputError(
             f"{len(values)} eigenvalues for a registry of {len(registry)} indicators", path)
@@ -202,7 +204,7 @@ def read_loadings(path: Path, registry: IndicatorRegistry, k: int) -> np.ndarray
     names, values = _read_table(path, _loadings_header(k), _INDICATOR_KEY)
     if tuple(names) != registry.ids:
         raise InputError("indicator rows do not match the registry", path)
-    return np.array(values, dtype=np.float64)
+    return values
 
 
 def write_weights(path: Path, weights: np.ndarray, ids) -> None:

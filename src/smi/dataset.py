@@ -3,20 +3,22 @@
 Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
-opened by _read_rows, which turns a missing, unreadable, non-UTF-8 or
-empty file into an InputError naming it. Every reader, the pca stage's
-handoff readers included, applies the rules kept here: _check_header
-(the header rule, the only code that compares a header row; a header
-that differs is reported by how it differs), _keyed_rows (the row rule)
-and _numeric_rows (the cell rule, the only code that parses a cell into
-a float and holds it to its range: finite by default, [0, 1] for
-gini.csv and normalized.csv). _read_table, which runs the three in
-turn, is the one reader of every numeric file. Every CSV
-it writes is opened by _write_rows, which writes lines each writer has
-already formatted, with labels quoted by _field. Loaders collect every
-problem they find and raise a single InputError listing all of them,
-each naming the file, with 1-based row numbers (the header is row 1).
-validate_matrix is the one column rule every stage calls.
+streamed by _read_rows, one row at a time, which turns a missing,
+unreadable, non-UTF-8 or empty file into an InputError naming it. Every
+reader, the pca stage's handoff readers included, applies the rules kept
+here: _check_header (the header rule, the only code that compares a
+header row; a header that differs is reported by how it differs, after
+the rest of the file is read, so a read error anywhere in it is
+reported instead), _keyed_rows (the row rule) and _numeric_rows (the
+cell rule, the only code that parses a cell into a float and holds it
+to its range: finite by default, [0, 1] for gini.csv and
+normalized.csv; passing cells go straight into one float buffer).
+_read_table, which runs the three in turn, is the one reader of every
+numeric file. Every CSV it writes is opened by _write_rows, which writes
+lines each writer has already formatted, with labels quoted by _field.
+Loaders collect every problem they find and raise a single InputError
+listing all of them, each naming the file, with 1-based row numbers
+(the header is row 1). validate_matrix is the one column rule every stage calls.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -153,24 +157,44 @@ _INDICATOR_KEY = ("indicator id", "indicator id")
 _STATE_KEY = ("state name", "state")
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
-    """Every row of a CSV file, header first; the file must exist, be UTF-8 text and not be empty."""
+def _read_rows(path: str | Path) -> Iterator[list[str]]:
+    """Each row of a CSV file, header first, read one row at a time.
+
+    The file must exist, be UTF-8 text and not be empty, or an InputError
+    naming it is raised when reading reaches the fault; _check_header
+    reads to the end first, so a read error wins over a header error.
+    """
     path = Path(path)
+    empty = True
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put first
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            for row in csv.reader(fh):
+                empty = False
+                yield row
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read file ({exc.strerror})", path) from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"not UTF-8 text (byte {exc.start})", path) from None
+        raise InputError(f"not UTF-8 text (byte {_undecodable_byte(path, exc)})", path) from None
     except csv.Error as exc:
         raise InputError(f"not a CSV file ({exc})", path) from None
-    if not rows:
+    if empty:
         raise InputError("file is empty", path)
-    return rows
+
+
+def _undecodable_byte(path: Path, exc: UnicodeDecodeError) -> int:
+    """The offset in path, byte-order mark counted, of the byte that is not UTF-8.
+
+    exc counts from the start of the decoder's read chunk, so the whole
+    file is decoded again; if it now decodes, exc's offset is all there is.
+    """
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return whole.start
+    return exc.start
 
 
 def _field(text: str) -> str:
@@ -194,16 +218,18 @@ def _write_rows(path: str | Path, header: list[str], lines) -> None:
         fh.writelines(line + "\r\n" for line in lines)
 
 
-def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problems: list[str]):
+def _keyed_rows(rows: Iterator[list[str]], width: int, key: tuple[str, str],
+                problems: list[str]):
     """Yield (lineno, name, row) for each body row that passes the rules every loader shares.
 
-    Blank rows are skipped. A row with other than `width` fields, an empty
-    first field, or a first field seen on an earlier row is reported in
-    problems and skipped; name is the stripped first field.
+    rows are the rows after the header. Blank rows are skipped. A row
+    with other than `width` fields, an empty first field, or a first
+    field seen on an earlier row is reported in problems and skipped;
+    name is the stripped first field.
     """
     empty, repeated = key
     first_row: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != width:
@@ -221,21 +247,21 @@ def _keyed_rows(rows: list[list[str]], width: int, key: tuple[str, str], problem
         yield lineno, name, row
 
 
-def _numeric_rows(path, rows: list[list[str]], columns, key: tuple[str, str],
-                  within: tuple[float, float] = _FINITE):
+def _numeric_rows(path, rows: Iterator[list[str]], columns, key: tuple[str, str],
+                  within: tuple[float, float] = _FINITE) -> tuple[list[str], np.ndarray]:
     """(names, values) of the _keyed_rows of a table whose key column is followed by columns.
 
     The cell rule: each cell after the key must be a float in the closed
     range within, finite by default. InputError names path and lists
     every cell that is not, by its row, key and column, with every row
-    the row rule rejects.
+    the row rule rejects. Passing cells go into one float buffer, which
+    values, an n x len(columns) array, shares.
     """
     low, high = within
     problems: list[str] = []
     names: list[str] = []
-    values: list[list[float]] = []
+    cells = array("d")
     for lineno, name, row in _keyed_rows(rows, 1 + len(columns), key, problems):
-        cells = []
         for column, cell in zip(columns, row[1:]):
             try:
                 v = float(cell)
@@ -250,20 +276,21 @@ def _numeric_rows(path, rows: list[list[str]], columns, key: tuple[str, str],
                 continue
             cells.append(v)
         names.append(name)
-        values.append(cells)
     if problems:
         raise InputError(problems, path)
-    return names, values
+    # every kept row put all its cells in cells, or a problem was raised above
+    return names, np.frombuffer(cells, dtype=np.float64).reshape(len(names), len(columns))
 
 
-def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
-    """The header rule: the first row, cells stripped, must be header.
+def _check_header(path, rows: Iterator[list[str]], header: list[str]) -> None:
+    """The header rule: the first row of rows, cells stripped, must be header.
 
     Otherwise InputError lists how it differs: a misnamed first column, then
-    missing, unexpected or repeated columns, or else their order.
+    missing, unexpected or repeated columns, or else their order, once
+    the rest of rows is read, so that a read error in the file wins.
     """
     # a blank first line reads as no cells: report it as an empty first column
-    got = [c.strip() for c in rows[0]] or [""]
+    got = [c.strip() for c in next(rows)] or [""]
     if got == header:
         return
     first, *expected = header
@@ -279,6 +306,8 @@ def _check_header(path, rows: list[list[str]], header: list[str]) -> None:
         problems.append(f"unexpected columns: {', '.join(extra)}")
     if repeated:
         problems.append(f"duplicate columns: {', '.join(repeated)}")
+    for _ in rows:
+        pass
     raise InputError(problems or [f"columns are not in the order {','.join(header)!r}"], path)
 
 
@@ -335,13 +364,13 @@ def _load_matrix(path, registry: IndicatorRegistry, within: tuple[float, float])
     states, data = _read_table(path, ["state", *registry.ids], _STATE_KEY, within)
     if len(states) < MIN_STATES:
         raise InputError(f"found {len(states)} states, need at least {MIN_STATES}", path)
-    return DataMatrix(states=tuple(states), values=np.array(data, dtype=np.float64), registry=registry)
+    return DataMatrix(states=tuple(states), values=data, registry=registry)
 
 
 def load_gini(path: str | Path) -> GiniTable:
     """Read gini.csv (state,gini) into a mapping; the cell rule holds each value to [0, 1]."""
     states, values = _read_table(path, GINI_HEADER, _STATE_KEY, (0.0, 1.0))
-    return {state: value for state, (value,) in zip(states, values)}
+    return dict(zip(states, values[:, 0].tolist()))
 
 
 def validate_matrix(matrix: DataMatrix, path=None) -> dict[str, tuple[float, float]]:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smi.cli import read_loadings, read_spectrum
 from smi.dataset import (
     DataMatrix,
     Direction,
@@ -13,6 +16,7 @@ from smi.dataset import (
     write_observations,
 )
 from smi.errors import InputError
+from smi.normalize import load_normalized
 
 META = """\
 indicator_id,name,pillar,direction
@@ -111,16 +115,31 @@ def test_metadata_missing_file():
         load_indicator_metadata("/nonexistent/indicators.csv")
 
 
+# 4,000 distinct gini rows, 38,890 bytes: past the text decoder's first 8 KiB read
+_LONG_GINI_BODY = b"".join(b"s%d,0.3\n" % i for i in range(4000))
+_BOM = b"\xef\xbb\xbf"
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read file"),
     (b"state,gini\nB\xe9ziers,0.3\n", "not UTF-8 text"),
     (b"", "file is empty"),
     (b"state,gini\n" + b"x" * 200_000 + b",0.3\n", "not a CSV file"),
-], ids=["directory", "latin1", "empty", "oversized_field"])
+    # the offset counts from the start of the file, byte-order mark included
+    (_BOM + b"state,gini\n" + _LONG_GINI_BODY + b"B\xe9ziers,0.3\n",
+     "not UTF-8 text (byte 38905)"),
+    # a header no reader expects, then a fault the reader reaches only past it
+    (b"wrong,header\n" + _LONG_GINI_BODY + b"\xff,0.3\n", "not UTF-8 text (byte 38903)"),
+    (b"wrong,header\n" + b"x" * 200_000 + b",0.3\n", "not a CSV file"),
+], ids=["directory", "latin1", "empty", "oversized_field", "latin1_past_8k",
+        "wrong_header_latin1_past_8k", "wrong_header_oversized_field"])
 @pytest.mark.parametrize("load", [
     load_indicator_metadata, load_gini, lambda path: load_observations(path, _REGISTRY3),
-], ids=["metadata", "gini", "observations"])
+    lambda path: load_normalized(path, _REGISTRY3), lambda path: read_spectrum(path, _REGISTRY3),
+    lambda path: read_loadings(path, _REGISTRY3, 2),
+], ids=["metadata", "gini", "observations", "normalized", "spectrum", "loadings"])
 def test_loaders_reject_unreadable_files_naming_them(tmp_path, content, message, load):
+    """A read error is reported, naming the file, even where the header is wrong too."""
     path = tmp_path / "input.csv"
     if content is None:
         path.mkdir()
@@ -129,6 +148,36 @@ def test_loaders_reject_unreadable_files_naming_them(tmp_path, content, message,
     with pytest.raises(InputError) as exc:
         load(path)
     assert exc.value.errors[0].startswith(f"{path}: {message}")
+
+
+def test_loaders_stream_a_large_table_in_little_memory(tmp_path, indicators_path):
+    """A seeded 3,100 x 31 table, raw and normalized, loads with a traced peak under 3 MiB.
+
+    Rows stream from the file and cells go into one float buffer, so the
+    peak is about that 0.75 MiB buffer; a reader that holds the whole file
+    as lists of strings and of floats peaks near 10 MiB on this table.
+    """
+    registry = load_indicator_metadata(indicators_path)
+    rng = np.random.default_rng(1)
+    shape = (3100, len(registry))
+    header = ",".join(["state", *registry.ids]) + "\n"
+    # raw cells as the counties benchmark input writes them, normalized ones at full precision
+    for name, values, cell in (("observations.csv", rng.uniform(20.0, 80.0, shape), "%.3f"),
+                               ("normalized.csv", rng.random(shape), "%.17g")):
+        line = "County %04d," + ",".join([cell] * shape[1]) + "\n"
+        (tmp_path / name).write_text(
+            header + "".join(line % (i, *row) for i, row in enumerate(values.tolist(), 1)),
+            encoding="utf-8")
+    for load, name in ((load_observations, "observations.csv"),
+                       (load_normalized, "normalized.csv")):
+        tracemalloc.start()
+        try:
+            matrix = load(tmp_path / name, registry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.values.shape == shape
+        assert peak < 3 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_registry_rejects_duplicate_ids():
