@@ -107,9 +107,6 @@ class IndicatorRegistry:
     def __iter__(self):
         return iter(self.specs)
 
-    def __getitem__(self, i: int) -> IndicatorSpec:
-        return self.specs[i]
-
 
 @dataclass
 class DataMatrix:
@@ -138,12 +135,6 @@ class DataMatrix:
     @property
     def n_indicators(self) -> int:
         return self.values.shape[1]
-
-
-def bare_matrix(values, ids) -> DataMatrix:
-    """A bare 2-D array as a DataMatrix with unnamed rows and positive indicator columns ids."""
-    specs = tuple(IndicatorSpec(i, i, PILLARS[0], Direction.POSITIVE) for i in ids)
-    return DataMatrix(("",) * len(values), values, IndicatorRegistry(specs))
 
 
 # state name -> Gini coefficient in [0, 1]

@@ -13,30 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import (
-    DataMatrix, Direction, IndicatorRegistry, _load_matrix, bare_matrix, validate_matrix)
-
-
-def normalize_column(values, direction: Direction, name: str = "<column>") -> np.ndarray:
-    """Min-max rescale one column into [0, 1], honoring its direction.
-
-    The sample min maps to exactly 0 and the sample max to exactly 1
-    (flipped for negative indicators); ties at the extremes all land on
-    the endpoint. A column validate_matrix rejects fails under name.
-    """
-    col = np.asarray(values, dtype=np.float64)
-    ((lo, hi),) = validate_matrix(bare_matrix(col[:, None], [name])).values()
-    if direction is Direction.POSITIVE:
-        return (col - lo) / (hi - lo)
-    return (hi - col) / (hi - lo)
+from .dataset import DataMatrix, Direction, IndicatorRegistry, _load_matrix, validate_matrix
 
 
 def normalize_matrix(matrix: DataMatrix) -> DataMatrix:
-    """Rescale every column of a matrix by its indicator's direction.
+    """Rescale each column x to (x - min) / (max - min), or (max - x) / (max - min) if negative.
 
-    normalize_column's elementwise operations on all columns at once, on
-    the (min, max) that validate_matrix gives each column it accepts, so
-    each entry is bitwise what normalize_column gives.
+    min and max are the column's pair from validate_matrix. The sample min
+    maps to exactly 0 and the sample max to exactly 1 (flipped for
+    negative indicators); ties at the extremes all land on the endpoint.
     """
     lo, hi = np.array(list(validate_matrix(matrix).values())).T
     negative = np.array([d is Direction.NEGATIVE for d in matrix.registry.directions])

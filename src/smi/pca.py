@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import MIN_STATES, DataMatrix, bare_matrix, validate_matrix
+from .dataset import MIN_STATES, DataMatrix, validate_matrix
 from .errors import InputError, NumericalError
 
 # a p x p dense symmetric matrix and a p x k loading block are plain arrays
@@ -60,15 +60,17 @@ class ComponentSelection:
     """The leading prefix PC1..PCk of components kept for weighting.
 
     count is k, at least 1: component j (0-based) is selected when
-    j < count. threshold_count is how many the eigenvalue cutoff alone
-    kept; extended flags that the prefix grew further to reach the
-    variance target (the two retention criteria disagreed).
+    j < count; threshold_count is how many the eigenvalue cutoff alone kept.
     """
 
     count: int
     explained_variance_ratio: float
     threshold_count: int
-    extended: bool
+
+    @property
+    def extended(self) -> bool:
+        """The prefix grew past a non-empty threshold prefix to reach the variance target."""
+        return 0 < self.threshold_count < self.count
 
 
 def _ordered_sum(terms):
@@ -83,21 +85,16 @@ def _ordered_sum(terms):
     return total if isinstance(total, np.ndarray) else float(total)
 
 
-def correlation_matrix(data, basis: Basis = Basis.CORRELATION, path=None) -> SymmetricMatrix:
-    """Pearson correlations (or sample covariances) of the columns of data.
+def correlation_matrix(data: DataMatrix, basis: Basis = Basis.CORRELATION,
+                       path=None) -> SymmetricMatrix:
+    """Pearson correlations (or sample covariances) of the columns of a DataMatrix.
 
-    data is a DataMatrix or a plain 2-D array, whose columns are then
-    named col0, col1, ...; sample statistics use the n-1 denominator.
-    Under the correlation basis a column that validate_matrix rejects, or
-    whose sample variance squared underflows to 0 (a zero variance among
-    them), cannot be correlated: InputError names each such column, and
-    path, the file data was read from, when one is given.
+    Sample statistics use the n-1 denominator. Under the correlation
+    basis a column that validate_matrix rejects, or whose sample variance
+    squared underflows to 0 (a zero variance among them), cannot be
+    correlated: InputError names each such column by its indicator id,
+    and path, the file data was read from, when one is given.
     """
-    if not isinstance(data, DataMatrix):
-        values = np.asarray(data, dtype=np.float64)
-        if values.ndim != 2:
-            raise InputError("correlation input must be a 2-D matrix")
-        data = bare_matrix(values, [f"col{j}" for j in range(values.shape[1])])
     values = data.values
     n = values.shape[0]
     if n < MIN_STATES:
@@ -156,23 +153,32 @@ def eigendecompose(m: SymmetricMatrix) -> Spectrum:
     deterministic sign convention on the eigenvectors.
     """
     a = np.array(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError("eigendecompose needs a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputError("eigendecompose needs a non-empty square matrix")
     if not np.all(np.isfinite(a)):
         raise InputError("eigendecompose needs finite entries")
     top = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, top):
+    # halves first, so that neither the difference nor the sum of two
+    # entries near the float limit overflows
+    half = a / 2.0
+    if float(np.max(np.abs(half - half.T))) > 0.5e-12 * max(1.0, top):
         raise InputError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
+    a = half + half.T
+    # both norms square at the scale of the largest entry, so neither
+    # overflows; ||A||_F bounds every entry and partial sum of V^T A V,
+    # so where it is a float nothing below overflows
+    exponent = math.frexp(top)[1]
+    try:
+        norm = _frobenius(a, exponent)
+    except OverflowError:
+        raise InputError("matrix's Frobenius norm overflows the float range") from None
     _, v = np.linalg.eigh(a)
     # B = V^T A V, made bitwise symmetric
     b = v.T @ a @ v
-    b = (b + b.T) / 2.0
-    # both norms square at the scale of the largest entry, so neither
-    # overflows; a 1 x 1 B has no upper triangle, and the empty sum is 0.0
-    exponent = math.frexp(top)[1]
+    b = b / 2.0 + b.T / 2.0
+    # a 1 x 1 B has no upper triangle, and the empty sum is 0.0
     off = _frobenius(b[np.triu_indices(len(b), 1)], exponent, 2.0)
-    bound = DEFAULT_TOL * max(1.0, _frobenius(a, exponent))
+    bound = DEFAULT_TOL * max(1.0, norm)
     # "not <" refuses a NaN residual too
     if not off < bound:
         raise NumericalError(
@@ -219,16 +225,13 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
     # a running prefix sum: the same additions, in the same order, as
     # _ordered_sum(eigenvalues[:k]) for every k it passes through
     explained = _ordered_sum(eigenvalues[:k])
-    extended = False
     while threshold_count and explained / total < variance_target and k < p:
         explained += eigenvalues[k]
         k += 1
-        extended = True
     return ComponentSelection(
         count=k,
         explained_variance_ratio=explained / total,
         threshold_count=threshold_count,
-        extended=extended,
     )
 
 

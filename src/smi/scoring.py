@@ -40,7 +40,6 @@ class CategoryThresholds:
 
     t_low: float
     t_high: float
-    percentile_method: PercentileMethod
 
     def __post_init__(self):
         if self.t_low > self.t_high:
@@ -149,7 +148,6 @@ def thresholds_from_scores(scores: dict[str, float], low_percentile: float = 25.
     return CategoryThresholds(
         t_low=percentile(values, low_percentile, method),
         t_high=percentile(values, high_percentile, method),
-        percentile_method=method,
     )
 
 

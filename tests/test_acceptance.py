@@ -8,25 +8,14 @@ fixed seeds or end-to-end runs on the synthetic fixture.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smi.analysis import inequality_classes, scenario_table
-from smi.dataset import (
-    DataMatrix,
-    Direction,
-    IndicatorRegistry,
-    IndicatorSpec,
-    load_gini,
-    load_observations,
-)
-from smi.normalize import normalize_column, normalize_matrix
+from smi.dataset import PILLARS, Direction, load_gini
+from smi.normalize import normalize_matrix
 from smi.pca import correlation_matrix, eigendecompose, loading_matrix, select_components
 from smi.scoring import (
     Category,
@@ -39,6 +28,8 @@ from smi.scoring import (
     thresholds_from_scores,
 )
 from smi.analysis import pillar_scores, pillar_weight_totals
+
+from helpers import STAGE_FILES, data_matrix, normalized_column, run_cli
 
 pytestmark = pytest.mark.acceptance
 
@@ -196,32 +187,21 @@ def test_c07_normalization_properties():
         x = rng.normal(0.0, 10.0, n)
         if float(np.max(x)) == float(np.min(x)):
             x[0] += 1.0
-        pos = normalize_column(x, Direction.POSITIVE)
-        neg = normalize_column(x, Direction.NEGATIVE)
+        pos = normalized_column(x, Direction.POSITIVE)
+        neg = normalized_column(x, Direction.NEGATIVE)
 
         assert float(np.min(pos)) >= 0.0 and float(np.max(pos)) <= 1.0
         assert float(np.min(neg)) >= 0.0 and float(np.max(neg)) <= 1.0
 
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.uniform(-50.0, 50.0))
-        shifted = normalize_column(a * x + b, Direction.POSITIVE)
+        shifted = normalized_column(a * x + b, Direction.POSITIVE)
         assert float(np.max(np.abs(shifted - pos))) < 1e-12
 
         assert float(np.max(np.abs(neg - (1.0 - pos)))) < 1e-15
 
-        again = normalize_column(pos, Direction.POSITIVE)
+        again = normalized_column(pos, Direction.POSITIVE)
         assert np.array_equal(again, pos)
-
-
-def _random_registry(rng, p):
-    from smi.dataset import PILLARS
-
-    specs = tuple(
-        IndicatorSpec(id=f"x{k}", name=f"X{k}",
-                      pillar=PILLARS[k % len(PILLARS)],
-                      direction=Direction.POSITIVE)
-        for k in range(p))
-    return IndicatorRegistry(specs=specs)
 
 
 def test_c08_index_properties():
@@ -229,11 +209,7 @@ def test_c08_index_properties():
     for _ in range(300):
         n = int(rng.integers(1, 15))
         p = int(rng.integers(1, 12))
-        registry = _random_registry(rng, p)
-        norm = DataMatrix(
-            states=tuple(f"s{i}" for i in range(n)),
-            values=rng.random((n, p)),
-            registry=registry)
+        norm = data_matrix(rng.random((n, p)), pillars=PILLARS)
         weights = rng.random(p) + 1e-6
 
         scores = composite_index(norm, weights)
@@ -244,7 +220,7 @@ def test_c08_index_properties():
         assert all(abs(scaled[s] - scores[s]) < 1e-12 for s in scores)
 
         pillars = pillar_scores(norm, weights)
-        totals = pillar_weight_totals(weights, registry)
+        totals = pillar_weight_totals(weights, norm.registry)
         total_weight = sum(totals.values())
         by_state: dict[str, float] = {s: 0.0 for s in norm.states}
         for pillar, (values, _) in pillars.items():
@@ -254,26 +230,17 @@ def test_c08_index_properties():
             assert abs(by_state[state] - scores[state]) < 1e-12
 
 
-def _cli(*args):
-    env = {**os.environ, "SMI_NO_COLOR": "1"}
-    return subprocess.run([sys.executable, "-m", "smi", *args],
-                          capture_output=True, text=True, env=env)
-
-
 def test_c09_end_to_end_determinism(data_dir, tmp_path):
     data = str(data_dir / "observations_synthetic.csv")
     meta = str(data_dir / "indicators.csv")
     gini = str(data_dir / "gini.csv")
     out = tmp_path / "out"
-    stage_files = ["normalized.csv", "correlation.csv", "spectrum.csv",
-                   "loadings.csv", "weights.csv", "scores.csv"]
-
-    first = _cli("run", "--data", data, "--meta", meta, "--gini", gini, "--out", str(out))
+    first = run_cli("run", "--data", data, "--meta", meta, "--gini", gini, "--out", str(out))
     assert first.returncode == 0, first.stderr
     report_1 = (out / "report.json").read_text(encoding="utf-8")
-    saved = {name: (out / name).read_bytes() for name in stage_files}
+    saved = {name: (out / name).read_bytes() for name in STAGE_FILES}
 
-    second = _cli("run", "--data", data, "--meta", meta, "--gini", gini, "--out", str(out))
+    second = run_cli("run", "--data", data, "--meta", meta, "--gini", gini, "--out", str(out))
     assert second.returncode == 0, second.stderr
     report_2 = (out / "report.json").read_text(encoding="utf-8")
 
@@ -285,21 +252,21 @@ def test_c09_end_to_end_determinism(data_dir, tmp_path):
     parsed_1, parsed_2 = json.loads(report_1), json.loads(report_2)
     parsed_1.pop("meta"), parsed_2.pop("meta")
     assert json.dumps(parsed_1, indent=2) == json.dumps(parsed_2, indent=2)
-    for name in stage_files:
+    for name in STAGE_FILES:
         assert (out / name).read_bytes() == saved[name], name
 
     chained = tmp_path / "chained"
     steps = [
-        _cli("normalize", "--data", data, "--meta", meta, "--out", str(chained)),
-        _cli("pca", "--normalized", str(chained / "normalized.csv"),
-             "--meta", meta, "--out", str(chained)),
-        _cli("score", "--normalized", str(chained / "normalized.csv"), "--meta", meta,
-             "--loadings", str(chained / "loadings.csv"),
-             "--spectrum", str(chained / "spectrum.csv"), "--out", str(chained)),
+        run_cli("normalize", "--data", data, "--meta", meta, "--out", str(chained)),
+        run_cli("pca", "--normalized", str(chained / "normalized.csv"),
+                "--meta", meta, "--out", str(chained)),
+        run_cli("score", "--normalized", str(chained / "normalized.csv"), "--meta", meta,
+                "--loadings", str(chained / "loadings.csv"),
+                "--spectrum", str(chained / "spectrum.csv"), "--out", str(chained)),
     ]
     for step in steps:
         assert step.returncode == 0, step.stderr
-    for name in stage_files:
+    for name in STAGE_FILES:
         assert (chained / name).read_bytes() == saved[name], name
 
 
@@ -309,12 +276,7 @@ def test_c10_latent_factor_dominates_weights():
     latent = rng.normal(0.0, 1.0, n)
     columns = [latent + 0.05 * rng.normal(0.0, 1.0, n) for _ in range(5)]
     columns += [rng.normal(0.0, 1.0, n) for _ in range(3)]
-    registry = _random_registry(rng, p)
-    matrix = DataMatrix(states=tuple(f"s{i}" for i in range(n)),
-                        values=np.column_stack(columns),
-                        registry=registry)
-
-    norm = normalize_matrix(matrix)
+    norm = normalize_matrix(data_matrix(np.column_stack(columns), pillars=PILLARS))
     spectrum = eigendecompose(correlation_matrix(norm))
     assert float(spectrum.eigenvalues[0]) > 4.0
 

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import io
@@ -15,13 +14,14 @@ import numpy as np
 import pytest
 
 import smi.cli
-from smi.cli import RunConfig, _style, main, run
-from smi.dataset import (
-    DataMatrix, Direction, IndicatorRegistry, IndicatorSpec, _field, write_observations)
+from smi.cli import RunConfig, _style, run
+from smi.dataset import _field, write_observations
 from smi.errors import InputError
 from smi.normalize import load_normalized
 from smi.pca import Basis, ComponentSelection, LoadingConvention, Spectrum
 from smi.scoring import PercentileMethod
+
+from helpers import STAGE_FILES, chain, console, data_matrix, fixture_args, run_cli
 
 META3 = """\
 indicator_id,name,pillar,direction
@@ -39,12 +39,6 @@ b,B,Health,positive
 # the two top states nearly tie, so the 75th-percentile cut (halfway
 # between them under the default method at n=5) sits within 1e-3 of both
 NEAR_TIE_OBS = "state,a,b\nA,0,0\nB,0.2,0.2\nC,0.5,0.5\nD,0.8,0.8\nE,0.8004,0.8004\n"
-
-
-def run_cli(*args, cwd=None):
-    env = {**os.environ, "SMI_NO_COLOR": "1"}
-    return subprocess.run([sys.executable, "-m", "smi", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def base_config(data_dir, tmp_path, **overrides) -> RunConfig:
@@ -226,7 +220,7 @@ def test_zero_weight_pillar_warned_once(data_dir, tmp_path):
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-c", script, str(data_dir / "indicators.csv"),
-         "run", *_fixture_args(data_dir, out)],
+         "run", *fixture_args(data_dir, out)],
         capture_output=True, text=True, env={**os.environ, "SMI_NO_COLOR": "1"})
     assert result.returncode == 0, result.stderr
     warning = "pillar 'Fair Wages' has zero total weight"
@@ -331,19 +325,14 @@ AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1 - 2.0 ** -53]
 
 def test_handoff_files_round_trip_bitwise(tmp_path):
     # each full-precision handoff file reads back the exact float64 bits
-    registry2 = IndicatorRegistry(specs=tuple(
-        IndicatorSpec(id=i, name=i, pillar="Health", direction=Direction.POSITIVE)
-        for i in ("a", "b")))
     values = np.array(AWKWARD_FLOATS).reshape(3, 2)
-    write_observations(DataMatrix(states=("A", "B", "C"), values=values, registry=registry2),
-                       tmp_path / "normalized.csv")
-    again = load_normalized(tmp_path / "normalized.csv", registry2)
+    matrix = data_matrix(values, ids=("a", "b"), states=("A", "B", "C"))
+    write_observations(matrix, tmp_path / "normalized.csv")
+    again = load_normalized(tmp_path / "normalized.csv", matrix.registry)
     assert again.values.tobytes() == values.tobytes()
 
     wide_floats = np.array([*AWKWARD_FLOATS, 1e16, -1e-300])
-    registry8 = IndicatorRegistry(specs=tuple(
-        IndicatorSpec(id=f"x{j}", name=f"x{j}", pillar="Health", direction=Direction.POSITIVE)
-        for j in range(len(wide_floats))))
+    registry8 = data_matrix(np.zeros((1, len(wide_floats)))).registry
     loadings = np.column_stack([wide_floats, wide_floats[::-1]])
     smi.cli.write_loadings(tmp_path / "loadings.csv", loadings, registry8.ids)
     assert smi.cli.read_loadings(tmp_path / "loadings.csv", registry8, 2).tobytes() == \
@@ -351,7 +340,7 @@ def test_handoff_files_round_trip_bitwise(tmp_path):
     spectrum = Spectrum(eigenvalues=wide_floats, eigenvectors=np.eye(len(wide_floats)))
     everything = ComponentSelection(count=len(wide_floats),
                                     explained_variance_ratio=1.0,
-                                    threshold_count=len(wide_floats), extended=False)
+                                    threshold_count=len(wide_floats))
     smi.cli.write_spectrum(tmp_path / "spectrum.csv", spectrum, everything)
     eigenvalues = smi.cli.read_spectrum(tmp_path / "spectrum.csv", registry8)
     assert np.array(eigenvalues).tobytes() == wide_floats.tobytes()
@@ -379,33 +368,9 @@ def test_boundary_warning_fires(tmp_path):
     assert any("threshold" in w and "sensitive" in w for w in report["warnings"])
 
 
-def _console(*argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def _main(*argv) -> tuple[int, str]:
-    code, _, err = _console(*argv)
+    code, _, err = console(*argv)
     return code, err
-
-
-def _fixture_args(data_dir, out):
-    return ["--data", str(data_dir / "observations_synthetic.csv"),
-            "--meta", str(data_dir / "indicators.csv"), "--out", str(out)]
-
-
-def _chain(data_dir, out, pca_flags=(), score_flags=()) -> list[int]:
-    meta = str(data_dir / "indicators.csv")
-    norm = str(out / "normalized.csv")
-    return [
-        _main("normalize", *_fixture_args(data_dir, out))[0],
-        _main("pca", "--normalized", norm, "--meta", meta, "--out", str(out), *pca_flags)[0],
-        _main("score", "--normalized", norm, "--meta", meta,
-              "--loadings", str(out / "loadings.csv"), "--spectrum", str(out / "spectrum.csv"),
-              "--out", str(out), *score_flags)[0],
-    ]
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -424,7 +389,7 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
                   "--spectrum", "s.csv"],
     }[command]
     code, err = _main(command, *stage_args, "--out", str(tmp_path / "stage"), *flags)
-    run_code, run_err = _main("run", *_fixture_args(data_dir, tmp_path / "run"), *flags)
+    run_code, run_err = _main("run", *fixture_args(data_dir, tmp_path / "run"), *flags)
     assert (code, run_code) == (1, 1)
     assert message in err
     assert err == run_err
@@ -445,7 +410,7 @@ def test_subcommand_validates_config_like_run(data_dir, tmp_path, command, flags
 ])
 def test_score_rejects_spectrum_not_from_the_pca_stage(data_dir, tmp_path, edit, message):
     stages = tmp_path / "stages"
-    assert _chain(data_dir, stages)[:2] == [0, 0]
+    assert chain(data_dir, stages)[:2] == [0, 0]
     handoff = stages / ("loadings.csv" if "loading" in edit else "spectrum.csv")
     with open(handoff, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -500,7 +465,7 @@ def test_stages_reject_a_constant_normalized_column(data_dir, tmp_path, command,
     # 22 cells of 0.1 have a mean of 0.10000000000000003 and so a nonzero
     # variance: only the min == max rule sees that the column is constant
     stages = tmp_path / "stages"
-    assert _chain(data_dir, stages) == [0, 0, 0]
+    assert chain(data_dir, stages) == [0, 0, 0]
     norm = stages / "normalized.csv"
     with open(norm, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -575,19 +540,19 @@ def test_fixture_console_keeps_its_text(data_dir, tmp_path):
     meta = str(data_dir / "indicators.csv")
     norm = str(out / "normalized.csv")
     argvs = {
-        "run": ["run", *_fixture_args(data_dir, out), "--gini", str(data_dir / "gini.csv")],
-        "run-no_gini": ["run", *_fixture_args(data_dir, out)],
-        "normalize": ["normalize", *_fixture_args(data_dir, out)],
+        "run": ["run", *fixture_args(data_dir, out), "--gini", str(data_dir / "gini.csv")],
+        "run-no_gini": ["run", *fixture_args(data_dir, out)],
+        "normalize": ["normalize", *fixture_args(data_dir, out)],
         "pca": ["pca", "--normalized", norm, "--meta", meta, "--out", str(out)],
         "score": ["score", "--normalized", norm, "--meta", meta,
                   "--loadings", str(out / "loadings.csv"),
                   "--spectrum", str(out / "spectrum.csv"), "--out", str(out)],
     }
-    console = {}
+    printed = {}
     for case, argv in argvs.items():
-        code, stdout, stderr = _console(*argv)
-        console[case] = (code, stdout.replace(str(out), "<out>"), stderr.replace(str(out), "<out>"))
-    assert console == FIXTURE_CONSOLE
+        code, stdout, stderr = console(*argv)
+        printed[case] = (code, stdout.replace(str(out), "<out>"), stderr.replace(str(out), "<out>"))
+    assert printed == FIXTURE_CONSOLE
 
 
 def test_gini_rows_of_unobserved_states_are_named(data_dir, tmp_path):
@@ -597,7 +562,7 @@ def test_gini_rows_of_unobserved_states_are_named(data_dir, tmp_path):
     text = (data_dir / "gini.csv").read_text(encoding="utf-8")
     gini.write_text(text.replace("Bihar,", "Bihr,") + "Atlantis,0.30\n", encoding="utf-8")
     out = tmp_path / "out"
-    code, _, stderr = _console("run", *_fixture_args(data_dir, out), "--gini", str(gini))
+    code, _, stderr = console("run", *fixture_args(data_dir, out), "--gini", str(gini))
     assert code == 0
     missing = "no gini value for: Andhra Pradesh, Bihar, Telangana"
     unused = "gini rows for states not in the observations: Bihr, Atlantis"
@@ -625,7 +590,7 @@ def test_unusable_out_exits_one_naming_the_path(data_dir, tmp_path, case):
     if case == "artifact_is_a_directory":
         bad = out / "normalized.csv"
         bad.mkdir(parents=True)
-    result = run_cli("run", *_fixture_args(data_dir, out))
+    result = run_cli("run", *fixture_args(data_dir, out))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert f"error: {bad}: cannot write output (" in result.stderr, result.stderr
@@ -651,7 +616,7 @@ def test_every_per_layer_function_runs(data_dir, tmp_path, monkeypatch):
     for name in names:
         monkeypatch.setattr(smi.cli, name, counted(name, getattr(smi.cli, name)))
     smi.cli.run(base_config(data_dir, tmp_path))
-    assert _chain(data_dir, tmp_path / "chained") == [0, 0, 0]
+    assert chain(data_dir, tmp_path / "chained") == [0, 0, 0]
     assert [name for name, count in calls.items() if count == 0] == []
 
 
@@ -663,10 +628,9 @@ def test_chained_stages_match_single_run(data_dir, tmp_path, basis, convention, 
     score_flags = ["--percentile-method", method]
     single = tmp_path / "single"
     chained = tmp_path / "chained"
-    assert _main("run", *_fixture_args(data_dir, single), *pca_flags, *score_flags)[0] == 0
-    assert _chain(data_dir, chained, pca_flags, score_flags) == [0, 0, 0]
-    for name in ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv",
-                 "weights.csv", "scores.csv"):
+    assert _main("run", *fixture_args(data_dir, single), *pca_flags, *score_flags)[0] == 0
+    assert chain(data_dir, chained, pca_flags, score_flags) == [0, 0, 0]
+    for name in STAGE_FILES:
         assert (chained / name).read_bytes() == (single / name).read_bytes(), name
 
 
@@ -767,11 +731,10 @@ def _same_files(new, old) -> None:
 
 def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
     ids = (ODD_ID, " lead", 'q"uote', "plain")
-    registry = IndicatorRegistry(specs=tuple(
-        IndicatorSpec(id=i, name=i, pillar="Health", direction=Direction.POSITIVE) for i in ids))
     values = np.random.default_rng(3).random((6, 4))
     values[:, 0] = AWKWARD_FLOATS
-    norm = DataMatrix(states=(*ODD_STATES, "A", "B", "C"), values=values, registry=registry)
+    norm = data_matrix(values, ids=ids, states=(*ODD_STATES, "A", "B", "C"))
+    registry = norm.registry
     config = RunConfig(data="", meta="", out_dir="")
     corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
     weights, _, _, ranked = smi.cli._score_stage(
@@ -801,9 +764,8 @@ def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_d
     _same_files(tmp_path / "run", tmp_path / "old")
 
     chained = tmp_path / "chained"
-    assert _chain(tmp_path, chained) == [0, 0, 0]
-    for name in ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv",
-                 "weights.csv", "scores.csv"):
+    assert chain(tmp_path, chained) == [0, 0, 0]
+    for name in STAGE_FILES:
         assert (chained / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
     with open(chained / "scores.csv", newline="", encoding="utf-8") as fh:
         assert set(states) <= {row[0] for row in csv.reader(fh)}
@@ -947,16 +909,16 @@ def test_eigenvectors_too_far_from_this_builds_exit_two_writing_nothing(data_dir
                                                                         monkeypatch):
     out = tmp_path / "out"
     meta = str(data_dir / "indicators.csv")
-    assert _main("normalize", *_fixture_args(data_dir, out))[0] == 0
+    assert _main("normalize", *fixture_args(data_dir, out))[0] == 0
     normalized = (out / "normalized.csv").read_bytes()
     _emulate_another_build(monkeypatch, 1e-11, 0)
-    code, stdout, stderr = _console("pca", "--normalized", str(out / "normalized.csv"),
-                                    "--meta", meta, "--out", str(out))
+    code, stdout, stderr = console("pca", "--normalized", str(out / "normalized.csv"),
+                                   "--meta", meta, "--out", str(out))
     assert (code, stdout) == (2, "")
     assert re.fullmatch(r"numerical failure: eigendecomposition not certified: off-diagonal "
                         r"norm of V\^T A V is not below \S+ \(residual \S+\)\n", stderr), stderr
     assert [p.name for p in out.iterdir()] == ["normalized.csv"]
     assert (out / "normalized.csv").read_bytes() == normalized
-    code, stdout, stderr = _console("run", *_fixture_args(data_dir, tmp_path / "run"))
+    code, stdout, stderr = console("run", *fixture_args(data_dir, tmp_path / "run"))
     assert (code, stdout) == (2, "") and stderr.startswith("numerical failure: ")
     assert list((tmp_path / "run").iterdir()) == []

@@ -63,8 +63,8 @@ def test_metadata_happy_path(small_registry):
     assert small_registry.ids == ("le", "abr", "mys")
     assert small_registry.directions == (
         Direction.POSITIVE, Direction.NEGATIVE, Direction.POSITIVE)
-    assert small_registry[1].pillar == "Health"
-    assert small_registry[2].name == "Mean schooling years"
+    assert small_registry.specs[1].pillar == "Health"
+    assert small_registry.specs[2].name == "Mean schooling years"
 
 
 def test_metadata_direction_parse_is_case_insensitive(tmp_path):

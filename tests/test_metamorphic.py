@@ -3,24 +3,29 @@
 Negating a raw column and flipping its declared direction changes no
 output byte. Reordering the rows, or mapping a raw column through a
 positive affine map, moves no score by more than rounding, and no rank
-of a state that no other state comes within 1e-9 of. Reference: Chen et
-al., "Metamorphic Testing: A Review of Challenges and Opportunities",
-ACM Comput. Surv. 51(1), 2018.
+of a state that no other state comes within 1e-9 of. The chained
+normalize, pca and score stages write the bytes a single run writes, for
+any valid config. Reference: Chen et al., "Metamorphic Testing: A Review
+of Challenges and Opportunities", ACM Comput. Surv. 51(1), 2018.
 """
 
 import csv
 import math
+import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smi.cli import RunConfig, run
+from smi.pca import Basis, LoadingConvention
+from smi.scoring import PercentileMethod
+
+from helpers import STAGE_FILES, chain, console, fixture_args
 
 # every artifact but report.json, which echoes the input paths and raw ranges
-ARTIFACTS = ("normalized.csv", "correlation.csv", "spectrum.csv", "loadings.csv", "weights.csv",
-             "scores.csv", "scenarios.json", "scatter.csv", "pillars.csv")
+ARTIFACTS = (*STAGE_FILES, "scenarios.json", "scatter.csv", "pillars.csv")
 NEAR_TIE = 1e-9
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -100,3 +105,27 @@ def test_a_positive_affine_map_of_a_column_keeps_every_score(work, shipped, colu
     a = math.exp(log_a)
     obs = _with_column(column, lambda cell: repr(a * float(cell) + b))
     _assert_scores_kept(_run(work, "mapped", obs), shipped, 1e-12)
+
+
+def _choice(enum) -> st.SearchStrategy[str]:
+    return st.sampled_from([member.value for member in enum])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(basis=_choice(Basis), convention=_choice(LoadingConvention),
+       method=_choice(PercentileMethod), threshold=st.floats(0.0, 3.0),
+       target=st.floats(0.05, 1.0), low=st.floats(1.0, 99.0), high=st.floats(1.0, 99.0))
+def test_chained_stages_write_what_a_single_run_writes(work, basis, convention, method,
+                                                       threshold, target, low, high):
+    assume(low < high)
+    pca_flags = ["--pca-basis", basis, "--loading-convention", convention,
+                 "--eigen-threshold", repr(threshold), "--variance-target", repr(target)]
+    score_flags = ["--percentile-method", method,
+                   "--low-percentile", repr(low), "--high-percentile", repr(high)]
+    single, chained = work / "single", work / "chained"
+    for out in (single, chained):
+        shutil.rmtree(out, ignore_errors=True)
+    assert console("run", *fixture_args(DATA_DIR, single), *pca_flags, *score_flags)[0] == 0
+    assert chain(DATA_DIR, chained, pca_flags, score_flags) == [0, 0, 0]
+    for name in STAGE_FILES:
+        assert (chained / name).read_bytes() == (single / name).read_bytes(), name

@@ -18,23 +18,25 @@ from smi.pca import (
     select_components,
 )
 
+from helpers import data_matrix
+
 
 def test_correlation_identical_columns():
     x = np.array([0.1, 0.5, 0.9, 0.3])
-    corr = correlation_matrix(np.column_stack([x, x]))
+    corr = correlation_matrix(data_matrix(np.column_stack([x, x])))
     assert corr[0, 1] == 1.0 and corr[1, 0] == 1.0
     assert corr[0, 0] == 1.0 and corr[1, 1] == 1.0
 
 
 def test_correlation_direction_flipped_twin():
     x = np.array([0.0, 1.0, 0.4, 0.7])
-    corr = correlation_matrix(np.column_stack([x, 1.0 - x]))
+    corr = correlation_matrix(data_matrix(np.column_stack([x, 1.0 - x])))
     assert corr[0, 1] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_correlation_orthogonal_hand_case():
     data = np.column_stack([[0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
-    corr = correlation_matrix(data)
+    corr = correlation_matrix(data_matrix(data))
     assert abs(corr[0, 1]) < 1e-12
 
 
@@ -44,7 +46,7 @@ def test_correlation_matches_numpy():
         n = int(rng.integers(3, 40))
         p = int(rng.integers(2, 12))
         data = rng.normal(0, 2, (n, p))
-        corr = correlation_matrix(data)
+        corr = correlation_matrix(data_matrix(data))
         assert np.allclose(corr, np.corrcoef(data, rowvar=False), atol=1e-12)
         assert np.array_equal(corr, corr.T)
         assert np.all(np.abs(corr) <= 1.0)
@@ -82,20 +84,20 @@ def test_correlation_is_byte_identical_to_scalar_loops():
         if trial % 5 == 0 and p > 1:
             data[:, -1] = -data[:, 0]
         for basis in Basis:
-            got = correlation_matrix(data, basis)
+            got = correlation_matrix(data_matrix(data), basis)
             assert got.tobytes() == _reference_correlation(data, basis).tobytes()
 
 
 def test_covariance_matches_numpy():
     rng = np.random.default_rng(4)
     data = rng.normal(0, 2, (15, 6))
-    cov = correlation_matrix(data, basis=Basis.COVARIANCE)
+    cov = correlation_matrix(data_matrix(data), basis=Basis.COVARIANCE)
     assert np.allclose(cov, np.cov(data, rowvar=False), atol=1e-12)
 
 
 def test_correlation_needs_three_rows():
     with pytest.raises(InputError, match="at least 3"):
-        correlation_matrix(np.ones((2, 3)))
+        correlation_matrix(data_matrix(np.ones((2, 3))))
 
 
 def test_correlation_rejects_constant_column():
@@ -104,7 +106,7 @@ def test_correlation_rejects_constant_column():
     for constant in (5.0, 0.1):
         data = np.column_stack([[1.0, 2.0, 3.0], [constant] * 3])
         with pytest.raises(InputError) as exc:
-            correlation_matrix(data)
+            correlation_matrix(data_matrix(data, ids=["col0", "col1"]))
         assert exc.value.errors == ["indicator 'col1' is constant, min-max rescaling is undefined"]
 
 
@@ -180,10 +182,16 @@ def test_eigendecompose_is_bit_deterministic():
 
 
 def test_eigendecompose_input_checks():
-    with pytest.raises(InputError, match="square"):
-        eigendecompose(np.ones((2, 3)))
-    with pytest.raises(InputError, match="symmetric"):
-        eigendecompose(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    for m in (np.ones((2, 3)), np.zeros((0, 0)), np.zeros(0)):
+        with pytest.raises(InputError, match="^eigendecompose needs a non-empty square matrix$"):
+            eigendecompose(m)
+    # the top eigenvalue, 3e308, is not a float
+    with pytest.raises(InputError, match="^matrix's Frobenius norm overflows the float range$"):
+        eigendecompose(np.full((3, 3), 1e308))
+    # the second matrix's a - a.T overflows, its halves' difference does not
+    for m in ([[1.0, 2.0], [0.5, 1.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+        with pytest.raises(InputError, match="symmetric"):
+            eigendecompose(np.array(m))
     with pytest.raises(InputError, match="finite"):
         eigendecompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
@@ -247,6 +255,17 @@ def test_eigendecompose_certifies_a_huge_matrix():
     assert spec.eigenvalues / 1e160 == pytest.approx(np.linalg.eigvalsh(a)[::-1], rel=1e-12)
 
 
+def test_eigendecompose_certifies_entries_near_the_float_limit():
+    # a + a.T overflows on these diagonals; halving each side first does not,
+    # and a power-of-two scale is exact, so the result is the scaled-down one's
+    spec = eigendecompose(np.array([[1e308, 1.0], [1.0, 1e308]]))
+    assert spec.eigenvalues.tolist() == [1e308, 1e308]
+    a = np.array([[1e308, 5e307], [5e307, 1e308]])
+    spec, small = eigendecompose(a), eigendecompose(math.ldexp(1.0, -100) * a)
+    assert spec.eigenvectors.tobytes() == small.eigenvectors.tobytes()
+    assert spec.eigenvalues.tobytes() == (math.ldexp(1.0, 100) * small.eigenvalues).tobytes()
+
+
 def test_eigendecompose_is_scale_equivariant():
     # a power-of-two scale is exact in every product and sum, so the
     # eigenvectors keep their bytes and the eigenvalues scale exactly
@@ -267,7 +286,7 @@ def test_eigendecompose_handles_rank_deficiency():
     # so at least 10 eigenvalues must come out (numerically) zero
     rng = np.random.default_rng(12)
     data = rng.normal(0, 1, (22, 31))
-    cov = correlation_matrix(data, basis=Basis.COVARIANCE)
+    cov = correlation_matrix(data_matrix(data), basis=Basis.COVARIANCE)
     spec = eigendecompose(cov)
     near_zero = int(np.sum(np.abs(spec.eigenvalues) <= 1e-8))
     assert near_zero >= 10
@@ -341,7 +360,6 @@ def test_loadings_sqrt_convention_clamps_negative_eigenvalues():
     from smi.pca import ComponentSelection
 
     spec = Spectrum(eigenvalues=np.array([2.0, -1e-12]), eigenvectors=np.eye(2))
-    sel = ComponentSelection(count=2, explained_variance_ratio=1.0,
-                             threshold_count=1, extended=False)
+    sel = ComponentSelection(count=2, explained_variance_ratio=1.0, threshold_count=1)
     scaled = loading_matrix(spec, sel, LoadingConvention.SQRT_EIGENVALUE)
     assert np.all(scaled[:, 1] == 0.0)

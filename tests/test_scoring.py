@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from smi.dataset import DataMatrix, Direction, IndicatorRegistry, IndicatorSpec
 from smi.errors import InputError, NumericalError
 from smi.scoring import (
     Category,
@@ -16,16 +15,7 @@ from smi.scoring import (
     thresholds_from_scores,
 )
 
-
-def _norm_matrix(values):
-    values = np.asarray(values, dtype=np.float64)
-    specs = tuple(
-        IndicatorSpec(id=f"x{k}", name=f"X{k}", pillar="Health",
-                      direction=Direction.POSITIVE)
-        for k in range(values.shape[1]))
-    states = tuple(f"s{i}" for i in range(values.shape[0]))
-    return DataMatrix(states=states, values=values,
-                      registry=IndicatorRegistry(specs=specs))
+from helpers import data_matrix
 
 
 def test_weights_two_term_hand_oracle():
@@ -70,7 +60,7 @@ def test_weights_tiny_negative_eigenvalue_clamped():
 
 
 def test_index_hand_cases():
-    norm = _norm_matrix([[1.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    norm = data_matrix([[1.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     scores = composite_index(norm, np.array([3.0, 1.0]))
     assert scores["s0"] == 1.0
     assert scores["s1"] == 0.75
@@ -78,13 +68,13 @@ def test_index_hand_cases():
 
 
 def test_index_zero_total_weight():
-    norm = _norm_matrix([[0.5, 0.5]])
+    norm = data_matrix([[0.5, 0.5]])
     with pytest.raises(NumericalError, match="weight"):
         composite_index(norm, np.array([0.0, 0.0]))
 
 
 def test_index_rejects_negative_weights():
-    norm = _norm_matrix([[0.5, 0.5]])
+    norm = data_matrix([[0.5, 0.5]])
     with pytest.raises(InputError, match="negative"):
         composite_index(norm, np.array([1.0, -0.5]))
 
@@ -94,7 +84,7 @@ def test_index_bounds_property():
     for _ in range(100):
         n = int(rng.integers(1, 12))
         p = int(rng.integers(1, 9))
-        norm = _norm_matrix(rng.random((n, p)))
+        norm = data_matrix(rng.random((n, p)))
         weights = rng.random(p) + 1e-9
         for value in composite_index(norm, weights).values():
             assert 0.0 <= value <= 1.0
@@ -102,7 +92,7 @@ def test_index_bounds_property():
 
 def test_index_weight_scale_invariance():
     rng = np.random.default_rng(23)
-    norm = _norm_matrix(rng.random((8, 5)))
+    norm = data_matrix(rng.random((8, 5)))
     weights = rng.random(5) + 0.1
     base = composite_index(norm, weights)
     scaled = composite_index(norm, weights * 37.5)
@@ -174,17 +164,14 @@ def test_thresholds_ordered_and_validated():
     scores = {f"s{i}": v for i, v in enumerate([0.1, 0.4, 0.2, 0.9, 0.6])}
     thresholds = thresholds_from_scores(scores)
     assert thresholds.t_low <= thresholds.t_high
-    assert thresholds.percentile_method is PercentileMethod.EXCLUSIVE
     with pytest.raises(InputError):
         thresholds_from_scores(scores, low_percentile=80.0, high_percentile=20.0)
     with pytest.raises(ValueError, match="t_low"):
-        CategoryThresholds(t_low=0.7, t_high=0.3,
-                           percentile_method=PercentileMethod.EXCLUSIVE)
+        CategoryThresholds(t_low=0.7, t_high=0.3)
 
 
 def test_categorize_boundaries():
-    thresholds = CategoryThresholds(t_low=0.26, t_high=0.561,
-                                    percentile_method=PercentileMethod.EXCLUSIVE)
+    thresholds = CategoryThresholds(t_low=0.26, t_high=0.561)
     scores = {"hi": 0.853, "at_high": 0.561, "mid": 0.36,
               "at_low": 0.26, "below": 0.2599}
     cats = categorize(scores, thresholds)
@@ -268,7 +255,7 @@ def test_weights_and_index_are_byte_identical_to_scalar_loops():
         if trial % 6 == 0:
             weights[rng.random(p) < 0.5] = 0.0
         weights[0] = max(weights[0], 1.5)
-        norm = _norm_matrix(values)
+        norm = data_matrix(values)
         scores = composite_index(norm, weights)
         assert scores == _reference_composite(norm, weights)
         assert list(scores) == list(norm.states)
