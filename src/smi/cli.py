@@ -78,21 +78,21 @@ from .scoring import (
     thresholds_from_scores,
 )
 
-PRESENTATION_DECIMALS = 6
 BOUNDARY_WARNING_MARGIN = 1e-3
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     """Everything a run needs: file paths plus every methodological knob.
 
     For the pca and score subcommands, data is the normalized.csv handoff.
     """
 
+    # as_dict keeps field order, so this is report.json's config key order
     data: str
     meta: str
-    out_dir: str
     gini: str | None = None
+    out_dir: str
     eigen_threshold: float = 1.0
     variance_target: float = 0.85
     percentile_method: PercentileMethod = PercentileMethod.EXCLUSIVE
@@ -120,16 +120,13 @@ class RunConfig:
             raise InputError(problems)
 
     def as_dict(self) -> dict:
-        """The paths first, then every knob in field order, enums by value."""
-        out = {name: getattr(self, name) for name in ("data", "meta", "gini", "out_dir")}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out.setdefault(f.name, value.value if isinstance(value, Enum) else value)
-        return out
+        """Every field in field order, enums by value."""
+        return {f.name: value.value if isinstance(value, Enum) else value
+                for f in fields(self) for value in [getattr(self, f.name)]}
 
 
 # the text of one presentation cell; a row of them is one % on a joined format
-_FIXED = f"%.{PRESENTATION_DECIMALS}f"
+_FIXED = "%.6f"
 
 
 def _write_json(path: Path, obj) -> None:
@@ -263,8 +260,8 @@ def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: Ru
             if abs(entry.smi - cut) < BOUNDARY_WARNING_MARGIN:
                 warnings.append(
                     f"{entry.state} scores within {BOUNDARY_WARNING_MARGIN} of the "
-                    f"{name} threshold ({entry.smi:.6f} vs {cut:.6f}); its category is sensitive "
-                    "to score rounding")
+                    f"{name} threshold ({_FIXED % entry.smi} vs {_FIXED % cut}); "
+                    "its category is sensitive to score rounding")
     return weights, scores, thresholds, ranked
 
 
@@ -428,8 +425,8 @@ def cmd_run(args) -> int:
     print(f"scored {n_scores} states; "
           f"{sel['selected_count']} components keep "
           f"{sel['explained_variance_ratio']:.1%} of variance")
-    print(f"thresholds: low {report['thresholds']['t_low']:.6f} / "
-          f"high {report['thresholds']['t_high']:.6f}")
+    print(f"thresholds: low {_FIXED % report['thresholds']['t_low']} / "
+          f"high {_FIXED % report['thresholds']['t_high']}")
     _warn(report["warnings"])
     print(f"wrote {Path(config.out_dir) / 'report.json'}")
     return 0
@@ -467,8 +464,8 @@ def cmd_score(args) -> int:
     warnings: list[str] = []
     weights, _, thresholds, ranked = _score_stage(norm, loadings, eigenvalues, config, warnings)
     _write_score_stage(out_dir, registry, weights, ranked)
-    print(f"scored {len(ranked)} states; thresholds low {thresholds.t_low:.6f} / "
-          f"high {thresholds.t_high:.6f}")
+    print(f"scored {len(ranked)} states; thresholds low {_FIXED % thresholds.t_low} / "
+          f"high {_FIXED % thresholds.t_high}")
     _warn(warnings)
     return 0
 

@@ -208,9 +208,8 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
     """
     eigenvalues = spectrum.eigenvalues.tolist()
     p = len(eigenvalues)
-    if p == 0:
-        raise InputError("empty spectrum")
     total = spectrum.total_variance
+    # an empty spectrum sums to 0.0, so this refuses it too
     if total <= 0.0:
         raise NumericalError("total variance is not positive, cannot select components")
 

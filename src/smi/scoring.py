@@ -97,14 +97,6 @@ def composite_index(norm: DataMatrix, weights: WeightVector) -> dict[str, float]
     return dict(zip(norm.states, _weighted_mean(norm.values, w).tolist()))
 
 
-def rank_states(scores: dict[str, float]) -> list[tuple[str, int]]:
-    """Ranks 1..n by descending score; exact ties fall back to state name order."""
-    if not scores:
-        raise InputError("cannot rank an empty score map")
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(state, position) for position, (state, _) in enumerate(ordered, start=1)]
-
-
 def percentile(values, p: float, method: PercentileMethod = PercentileMethod.EXCLUSIVE) -> float:
     """Sample percentile of values for p in (0, 100).
 
@@ -116,17 +108,15 @@ def percentile(values, p: float, method: PercentileMethod = PercentileMethod.EXC
         raise InputError(f"percentile p must lie in (0, 100), got {p}")
     xs = sorted(float(v) for v in values)
     n = len(xs)
+    minimum = 3 if method is PercentileMethod.EXCLUSIVE else 1
+    if n < minimum:
+        raise InputError(f"{method.value} percentile needs at least {minimum} "
+                         f"value{'s' if minimum > 1 else ''}, got {n}")
     if method is PercentileMethod.EXCLUSIVE:
-        if n < 3:
-            raise InputError(f"exclusive percentile needs at least 3 values, got {n}")
         h = (n + 1) * p / 100.0
     elif method is PercentileMethod.INCLUSIVE:
-        if n < 1:
-            raise InputError("inclusive percentile needs at least 1 value")
         h = 1.0 + (n - 1) * p / 100.0
     else:
-        if n < 1:
-            raise InputError("nearest-rank percentile needs at least 1 value")
         rank = max(1, math.ceil(n * p / 100.0))
         return xs[rank - 1]
 
@@ -151,23 +141,18 @@ def thresholds_from_scores(scores: dict[str, float], low_percentile: float = 25.
     )
 
 
-def categorize(scores: dict[str, float], thresholds: CategoryThresholds) -> dict[str, Category]:
-    """High at or above t_high, Low strictly below t_low, Medium between."""
-    out: dict[str, Category] = {}
-    for state, value in scores.items():
-        if value >= thresholds.t_high:
-            out[state] = Category.HIGH
-        elif value < thresholds.t_low:
-            out[state] = Category.LOW
-        else:
-            out[state] = Category.MEDIUM
-    return out
-
-
 def state_scores(scores: dict[str, float], thresholds: CategoryThresholds) -> list[StateScore]:
-    """Assemble ranked, categorized per-state records in rank order."""
-    categories = categorize(scores, thresholds)
+    """Rank and categorize every state in one pass, in rank order.
+
+    Ranks run 1..n by descending score, exact ties in state name order.
+    High is at or above t_high, Low strictly below t_low, Medium between.
+    """
+    if not scores:
+        raise InputError("cannot rank an empty score map")
+    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
-        StateScore(state=state, smi=scores[state], rank=position, category=categories[state])
-        for state, position in rank_states(scores)
+        StateScore(state=state, smi=value, rank=position,
+                   category=Category.HIGH if value >= thresholds.t_high
+                   else Category.LOW if value < thresholds.t_low else Category.MEDIUM)
+        for position, (state, value) in enumerate(ordered, start=1)
     ]

@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from smi.dataset import load_indicator_metadata
 
@@ -20,6 +21,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # directory, whatever the example database setting; keep that out of the tree
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "smi-hypothesis"))
+
+# every property test draws the same examples on every run and keeps no
+# example database; it reports its first failing example as drawn, since
+# shrinking and explaining one reruns the pipeline for minutes
+settings.register_profile("smi", derandomize=True, database=None, deadline=None,
+                          phases=(Phase.explicit, Phase.generate))
+settings.load_profile("smi")
 
 
 @pytest.fixture(scope="session")

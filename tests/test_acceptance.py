@@ -20,11 +20,10 @@ from smi.pca import correlation_matrix, eigendecompose, loading_matrix, select_c
 from smi.scoring import (
     Category,
     PercentileMethod,
-    categorize,
     composite_index,
     compute_weights,
     percentile,
-    rank_states,
+    state_scores,
     thresholds_from_scores,
 )
 from smi.analysis import pillar_scores, pillar_weight_totals
@@ -55,7 +54,7 @@ def test_c02_categories_match_reference_with_known_exceptions(reference_rows):
     scores = {state: smi for state, smi, _, _ in reference_rows}
     published = {state: category for state, _, category, _ in reference_rows}
     thresholds = thresholds_from_scores(scores)
-    computed = categorize(scores, thresholds)
+    computed = {entry.state: entry.category for entry in state_scores(scores, thresholds)}
     mismatches = {s for s in scores if computed[s].value != published[s]}
     assert mismatches == KNOWN_CATEGORY_MISMATCHES
     assert len(scores) - len(mismatches) >= 19
@@ -64,7 +63,8 @@ def test_c02_categories_match_reference_with_known_exceptions(reference_rows):
 def test_c03_ranks_match_reference_up_to_tie(reference_rows):
     scores = {state: smi for state, smi, _, _ in reference_rows}
     published = {state: rank for state, _, _, rank in reference_rows}
-    computed = dict(rank_states(scores))
+    computed = {entry.state: entry.rank
+                for entry in state_scores(scores, thresholds_from_scores(scores))}
     for state, rank in computed.items():
         if state in TIE_PAIR:
             assert rank in {published[s] for s in TIE_PAIR}

@@ -184,6 +184,13 @@ def test_registry_rejects_duplicate_ids():
     spec = IndicatorSpec(id="x", name="X", pillar="Health", direction=Direction.POSITIVE)
     with pytest.raises(ValueError, match="duplicate"):
         IndicatorRegistry(specs=(spec, spec))
+    with pytest.raises(InputError, match="registry is empty"):
+        IndicatorRegistry(specs=())
+    with pytest.raises(InputError) as exc:
+        IndicatorRegistry(specs=(IndicatorSpec("", "E", "Health", Direction.POSITIVE),
+                                 IndicatorSpec("y", "Y", "Wealth", Direction.POSITIVE)))
+    assert exc.value.errors == ["indicator at position 0 has an empty id",
+                                "indicator 'y' has unknown pillar 'Wealth'"]
 
 
 def test_observations_happy_path(obs_file, small_registry):
@@ -282,6 +289,10 @@ def test_data_matrix_invariants(small_registry):
                    registry=small_registry)
     with pytest.raises(ValueError, match="state labels"):
         DataMatrix(states=("A", "B"), values=np.ones((3, 3)), registry=small_registry)
+    with pytest.raises(InputError, match="2-D"):
+        DataMatrix(states=("A",), values=np.ones(3), registry=small_registry)
+    with pytest.raises(InputError, match="2 columns for a registry of 3 indicators"):
+        DataMatrix(states=("A", "B"), values=np.ones((2, 2)), registry=small_registry)
 
 
 def test_gini_happy_and_empty(tmp_path):

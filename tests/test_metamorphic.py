@@ -5,7 +5,9 @@ output byte. Reordering the rows, or mapping a raw column through a
 positive affine map, moves no score by more than rounding, and no rank
 of a state that no other state comes within 1e-9 of. The chained
 normalize, pca and score stages write the bytes a single run writes, for
-any valid config. Reference: Chen et al., "Metamorphic Testing: A Review
+any valid config. For drawn registries and weights, the pillar sub-scores
+recompose the composite index, and exactly the pillars of zero weight
+are left out. Reference: Chen et al., "Metamorphic Testing: A Review
 of Challenges and Opportunities", ACM Comput. Surv. 51(1), 2018.
 """
 
@@ -14,15 +16,18 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smi.analysis import pillar_scores, pillar_weight_totals
 from smi.cli import RunConfig, run
+from smi.dataset import PILLARS
 from smi.pca import Basis, LoadingConvention
-from smi.scoring import PercentileMethod
+from smi.scoring import PercentileMethod, composite_index
 
-from helpers import STAGE_FILES, chain, console, fixture_args
+from helpers import STAGE_FILES, chain, console, data_matrix, fixture_args
 
 # every artifact but report.json, which echoes the input paths and raw ranges
 ARTIFACTS = (*STAGE_FILES, "scenarios.json", "scatter.csv", "pillars.csv")
@@ -81,7 +86,7 @@ def _assert_scores_kept(report: dict, shipped: dict, tol: float) -> None:
             assert got[entry["state"]]["rank"] == entry["rank"], entry["state"]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=31)
+@settings(max_examples=31)
 @given(column=COLUMNS)
 def test_negating_a_column_and_flipping_its_direction_keeps_every_byte(work, shipped, column):
     # negating the text is exact, so max' - x' is x - min in every bit
@@ -93,13 +98,13 @@ def test_negating_a_column_and_flipping_its_direction_keeps_every_byte(work, shi
         assert (work / "negated" / name).read_bytes() == (work / "shipped" / name).read_bytes(), name
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(order=st.permutations(range(len(OBS_ROWS))))
 def test_reordering_the_rows_keeps_every_score(work, shipped, order):
     _assert_scores_kept(_run(work, "reordered", [OBS_ROWS[i] for i in order]), shipped, 1e-12)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(column=COLUMNS, log_a=st.floats(-5.0, 5.0), b=st.floats(-1e3, 1e3))
 def test_a_positive_affine_map_of_a_column_keeps_every_score(work, shipped, column, log_a, b):
     a = math.exp(log_a)
@@ -111,7 +116,7 @@ def _choice(enum) -> st.SearchStrategy[str]:
     return st.sampled_from([member.value for member in enum])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(basis=_choice(Basis), convention=_choice(LoadingConvention),
        method=_choice(PercentileMethod), threshold=st.floats(0.0, 3.0),
        target=st.floats(0.05, 1.0), low=st.floats(1.0, 99.0), high=st.floats(1.0, 99.0))
@@ -129,3 +134,33 @@ def test_chained_stages_write_what_a_single_run_writes(work, basis, convention, 
     assert chain(DATA_DIR, chained, pca_flags, score_flags) == [0, 0, 0]
     for name in STAGE_FILES:
         assert (chained / name).read_bytes() == (single / name).read_bytes(), name
+
+
+@st.composite
+def _weighted_registries(draw):
+    """A matrix of rescaled values, each column's pillar drawn, and weights
+    that are positive except on the columns of some whole pillars."""
+    pillars = draw(st.lists(st.sampled_from(PILLARS), min_size=1, max_size=12))
+    n, p = draw(st.integers(1, 12)), len(pillars)
+    values = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p),
+                           min_size=n, max_size=n))
+    present = list(dict.fromkeys(pillars))
+    zeroed = draw(st.sets(st.sampled_from(present), max_size=len(present) - 1))
+    weights = [0.0 if pillar in zeroed else draw(st.floats(1e-3, 10.0)) for pillar in pillars]
+    return data_matrix(values, pillars=tuple(pillars)), np.array(weights), zeroed
+
+
+@settings(max_examples=100)
+@given(drawn=_weighted_registries())
+def test_pillar_sub_scores_recompose_the_composite(drawn):
+    norm, weights, zeroed = drawn
+    scores = composite_index(norm, weights)
+    pillars = pillar_scores(norm, weights)
+    totals = pillar_weight_totals(weights, norm.registry)
+    present = dict.fromkeys(spec.pillar for spec in norm.registry)
+    assert list(pillars) == [pillar for pillar in present if pillar not in zeroed]
+    total_weight = sum(totals.values())
+    for i, state in enumerate(norm.states):
+        recomposed = sum(values[i] * totals[pillar] / total_weight
+                         for pillar, (values, _) in pillars.items())
+        assert abs(recomposed - scores[state]) <= 1e-12, state

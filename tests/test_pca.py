@@ -8,6 +8,7 @@ import smi.pca
 from smi.errors import InputError, NumericalError
 from smi.pca import (
     Basis,
+    ComponentSelection,
     LoadingConvention,
     Spectrum,
     _fix_signs,
@@ -332,6 +333,9 @@ def test_select_rejects_nonpositive_total():
     spec = Spectrum(eigenvalues=np.array([1.0, -1.0]), eigenvectors=np.eye(2))
     with pytest.raises(NumericalError, match="total variance"):
         select_components(spec)
+    empty = Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
+    with pytest.raises(NumericalError, match="total variance"):
+        select_components(empty)
 
 
 def test_loadings_standard_basis():
@@ -340,6 +344,9 @@ def test_loadings_standard_basis():
     loadings = loading_matrix(spec, sel)
     assert loadings.shape == (2, 1)
     assert list(loadings[:, 0]) == [1.0, 0.0]
+    for count in (0, 3):
+        with pytest.raises(InputError, match=f"selection of {count} components out of range"):
+            loading_matrix(spec, ComponentSelection(count, 1.0, count))
 
 
 def test_loadings_hand_two_by_two_both_conventions():

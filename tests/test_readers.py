@@ -82,7 +82,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.csv"
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(content=st.one_of(st.binary(max_size=64), TEXT))
 def test_readers_raise_only_input_error_on_fuzzed_files(fuzz_path, content):
     fuzz_path.write_bytes(content)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,21 @@ from smi.scoring import (
     Category,
     CategoryThresholds,
     PercentileMethod,
-    categorize,
     composite_index,
     compute_weights,
     percentile,
-    rank_states,
     state_scores,
     thresholds_from_scores,
 )
 
 from helpers import data_matrix
+
+# cutoffs that leave every state Medium, for the tests of ranks alone
+ALL_MEDIUM = CategoryThresholds(t_low=-math.inf, t_high=math.inf)
+
+
+def _ranks(scores):
+    return [(entry.state, entry.rank) for entry in state_scores(scores, ALL_MEDIUM)]
 
 
 def test_weights_two_term_hand_oracle():
@@ -47,6 +54,8 @@ def test_weights_column_sign_flip_is_bit_invariant():
 def test_weights_dimension_mismatch():
     with pytest.raises(InputError, match="column"):
         compute_weights(np.ones((3, 2)), [1.0])
+    # no component is no mismatch: every indicator weighs 0
+    assert list(compute_weights(np.ones((3, 0)), [])) == [0.0, 0.0, 0.0]
 
 
 def test_weights_negative_eigenvalue_beyond_slack():
@@ -77,6 +86,8 @@ def test_index_rejects_negative_weights():
     norm = data_matrix([[0.5, 0.5]])
     with pytest.raises(InputError, match="negative"):
         composite_index(norm, np.array([1.0, -0.5]))
+    with pytest.raises(InputError, match="3 weights for 2 indicators"):
+        composite_index(norm, np.array([1.0, 1.0, 1.0]))
 
 
 def test_index_bounds_property():
@@ -101,18 +112,20 @@ def test_index_weight_scale_invariance():
 
 
 def test_rank_alphabetical_tie_break():
-    ranked = rank_states({"Bravo": 0.26, "Alpha": 0.26, "Zulu": 0.9})
+    ranked = _ranks({"Bravo": 0.26, "Alpha": 0.26, "Zulu": 0.9})
     assert [(s, r) for s, r, in ranked] == [("Zulu", 1), ("Alpha", 2), ("Bravo", 3)]
 
 
 def test_rank_singleton():
-    assert rank_states({"Solo": 0.4}) == [("Solo", 1)]
+    assert _ranks({"Solo": 0.4}) == [("Solo", 1)]
+    with pytest.raises(InputError, match="empty"):
+        _ranks({})
 
 
 def test_rank_is_permutation():
     rng = np.random.default_rng(24)
     scores = {f"s{i}": float(v) for i, v in enumerate(rng.random(15))}
-    ranked = rank_states(scores)
+    ranked = _ranks(scores)
     assert sorted(r for _, r in ranked) == list(range(1, 16))
     values = [scores[s] for s, _ in ranked]
     assert values == sorted(values, reverse=True)
@@ -174,7 +187,7 @@ def test_categorize_boundaries():
     thresholds = CategoryThresholds(t_low=0.26, t_high=0.561)
     scores = {"hi": 0.853, "at_high": 0.561, "mid": 0.36,
               "at_low": 0.26, "below": 0.2599}
-    cats = categorize(scores, thresholds)
+    cats = {entry.state: entry.category for entry in state_scores(scores, thresholds)}
     assert cats["hi"] is Category.HIGH
     assert cats["at_high"] is Category.HIGH
     assert cats["mid"] is Category.MEDIUM
@@ -188,7 +201,7 @@ def test_category_monotonicity_property():
     for _ in range(50):
         scores = {f"s{i}": float(v) for i, v in enumerate(rng.random(10))}
         thresholds = thresholds_from_scores(scores)
-        cats = categorize(scores, thresholds)
+        cats = {entry.state: entry.category for entry in state_scores(scores, thresholds)}
         ranked = sorted(scores, key=scores.get)
         levels = [order[cats[s]] for s in ranked]
         assert levels == sorted(levels)
