@@ -10,9 +10,9 @@ artifact plus report.json. The normalize/pca/score subcommands read the
 previous stage's handoff files and call the same helper and writer, so
 chaining them reproduces the single-run outputs byte for byte (handoff
 files carry full float precision; presentation dumps are rounded to 6
-decimals), and one `_warn` prints the same warning lines for every
-command. Every command builds one RunConfig, whose field defaults are
-the flag defaults, and validates it before any work.
+decimals). `main` builds every command's one RunConfig, whose field
+defaults are the flag defaults and which checks itself when made, and
+one `_emit` prints the warnings a command returns, or its error.
 
 Exit codes: 0 success, 1 invalid input or configuration or an output
 that cannot be written, 2 numerical failure.
@@ -81,7 +81,7 @@ from .scoring import (
 BOUNDARY_WARNING_MARGIN = 1e-3
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class RunConfig:
     """Everything a run needs: file paths plus every methodological knob.
 
@@ -102,7 +102,7 @@ class RunConfig:
     pca_basis: Basis = Basis.CORRELATION
     loading_convention: LoadingConvention = LoadingConvention.UNIT_EIGENVECTOR
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = []
         if not (0.0 < self.low_percentile < self.high_percentile < 100.0):
             problems.append(
@@ -216,8 +216,7 @@ def write_scores(path: Path, scores: list[StateScore]) -> None:
 
 
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
-    """Check the config, make the output directory, load the indicator registry."""
-    config.validate()
+    """Make the output directory, load the indicator registry."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, load_indicator_metadata(config.meta)
@@ -397,15 +396,9 @@ def _style(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _warn(warnings: list[str]) -> None:
-    for warning in warnings:
-        print(_style(f"warning: {warning}", "33"), file=sys.stderr)
-
-
-def _print_errors(label: str, exc: Exception) -> None:
-    messages = getattr(exc, "errors", None) or [str(exc)]
+def _emit(label: str, messages: list[str], colour: str) -> None:
     for message in messages:
-        print(_style(f"{label}: {message}", "31"), file=sys.stderr)
+        print(_style(f"{label}: {message}", colour), file=sys.stderr)
 
 
 def _config(args) -> RunConfig:
@@ -417,8 +410,7 @@ def _config(args) -> RunConfig:
     })
 
 
-def cmd_run(args) -> int:
-    config = _config(args)
+def cmd_run(config: RunConfig, args) -> list[str]:
     report = run(config)
     n_scores = len(report["scores"])
     sel = report["selection"]
@@ -427,23 +419,20 @@ def cmd_run(args) -> int:
           f"{sel['explained_variance_ratio']:.1%} of variance")
     print(f"thresholds: low {_FIXED % report['thresholds']['t_low']} / "
           f"high {_FIXED % report['thresholds']['t_high']}")
-    _warn(report["warnings"])
     print(f"wrote {Path(config.out_dir) / 'report.json'}")
-    return 0
+    return report["warnings"]
 
 
-def cmd_normalize(args) -> int:
-    config = _config(args)
+def cmd_normalize(config: RunConfig, args) -> list[str]:
     out_dir, registry = _prepare(config)
     _, norm = _normalize_stage(load_observations(config.data, registry), config)
     write_observations(norm, out_dir / "normalized.csv")
     print(f"wrote {out_dir / 'normalized.csv'} "
           f"({norm.n_states} states x {norm.n_indicators} indicators)")
-    return 0
+    return []
 
 
-def cmd_pca(args) -> int:
-    config = _config(args)
+def cmd_pca(config: RunConfig, args) -> list[str]:
     out_dir, registry = _prepare(config)
     norm = load_normalized(config.data, registry)
     warnings: list[str] = []
@@ -451,12 +440,10 @@ def cmd_pca(args) -> int:
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     print(f"selected {selection.count} of {len(spectrum.eigenvalues)} components "
           f"({selection.explained_variance_ratio:.1%} of variance)")
-    _warn(warnings)
-    return 0
+    return warnings
 
 
-def cmd_score(args) -> int:
-    config = _config(args)
+def cmd_score(config: RunConfig, args) -> list[str]:
     out_dir, registry = _prepare(config)
     norm = load_normalized(config.data, registry)
     eigenvalues = read_spectrum(Path(args.spectrum), registry)
@@ -466,8 +453,7 @@ def cmd_score(args) -> int:
     _write_score_stage(out_dir, registry, weights, ranked)
     print(f"scored {len(ranked)} states; thresholds low {_FIXED % thresholds.t_low} / "
           f"high {_FIXED % thresholds.t_high}")
-    _warn(warnings)
-    return 0
+    return warnings
 
 
 def _flag(parser, name: str, help: str) -> None:
@@ -544,20 +530,24 @@ def main(argv=None) -> int:
     # rebinding of the module's functions (as a tracer does) takes effect
     command = {"run": cmd_run, "normalize": cmd_normalize, "pca": cmd_pca,
                "score": cmd_score}[args.command]
+    # a command prints its summary on stdout and returns its warnings; on
+    # failure only the error lines leave, in place of both
     try:
-        return command(args)
+        warnings = command(_config(args), args)
     except InputError as exc:
-        _print_errors("error", exc)
+        _emit("error", exc.errors, "31")
         return 1
     except NumericalError as exc:
-        _print_errors("numerical failure", exc)
+        _emit("numerical failure", [str(exc)], "31")
         return 2
     except OSError as exc:
         # _read_rows turns every input's OSError into an InputError, so this
         # is an output that cannot be made or written
-        _print_errors("error",
-                      InputError(f"cannot write output ({exc.strerror or exc})", exc.filename))
+        _emit("error", InputError(f"cannot write output ({exc.strerror or exc})",
+                                  exc.filename).errors, "31")
         return 1
+    _emit("warning", warnings, "33")
+    return 0
 
 
 def entrypoint() -> None:

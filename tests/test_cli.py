@@ -53,16 +53,14 @@ def base_config(data_dir, tmp_path, **overrides) -> RunConfig:
 
 
 def test_config_validation():
-    bad = RunConfig(data="d", meta="m", out_dir="o",
-                    low_percentile=80.0, high_percentile=20.0)
     with pytest.raises(InputError, match="low"):
-        bad.validate()
+        RunConfig(data="d", meta="m", out_dir="o", low_percentile=80.0, high_percentile=20.0)
     with pytest.raises(InputError, match="variance target"):
-        RunConfig(data="d", meta="m", out_dir="o", variance_target=0.0).validate()
+        RunConfig(data="d", meta="m", out_dir="o", variance_target=0.0)
     with pytest.raises(InputError, match="eigen threshold"):
-        RunConfig(data="d", meta="m", out_dir="o", eigen_threshold=-1.0).validate()
+        RunConfig(data="d", meta="m", out_dir="o", eigen_threshold=-1.0)
     with pytest.raises(InputError, match="gini threshold"):
-        RunConfig(data="d", meta="m", out_dir="o", gini_threshold=1.5).validate()
+        RunConfig(data="d", meta="m", out_dir="o", gini_threshold=1.5)
 
 
 def test_run_report_structure(data_dir, tmp_path):
@@ -586,20 +584,29 @@ def test_run_times_its_stages(data_dir, tmp_path):
     assert sum(stages.values()) <= meta["elapsed_seconds"] * 1000.0
 
 
-@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory"])
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "artifact_is_a_directory",
+                                  "pca_artifact_is_a_directory"])
 def test_unusable_out_exits_one_naming_the_path(data_dir, tmp_path, case):
+    # the two artifact cases have a variance-target warning by the time the
+    # write fails; the one error line leaves in place of it and of the summary
     a_file = tmp_path / "a_file"
     a_file.write_text("", encoding="utf-8")
-    out = {"out_is_a_file": a_file, "out_under_a_file": a_file / "out",
-           "artifact_is_a_directory": tmp_path / "out"}[case]
-    bad = out
+    out = {"out_is_a_file": a_file, "out_under_a_file": a_file / "out"}.get(case, tmp_path / "out")
+    argv = ["run", *fixture_args(data_dir, out)]
+    bad, reason = out, "[^\n]+"
     if case == "artifact_is_a_directory":
-        bad = out / "normalized.csv"
+        bad, reason = out / "normalized.csv", "Is a directory"
+    elif case == "pca_artifact_is_a_directory":
+        assert console("normalize", *fixture_args(data_dir, out))[0] == 0
+        argv = ["pca", "--normalized", str(out / "normalized.csv"),
+                "--meta", str(data_dir / "indicators.csv"), "--out", str(out)]
+        bad, reason = out / "correlation.csv", "Is a directory"
+    if bad != out:
         bad.mkdir(parents=True)
-    result = run_cli("run", *fixture_args(data_dir, out))
-    assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert f"error: {bad}: cannot write output (" in result.stderr, result.stderr
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: cannot write output \({reason}\)\n",
+                        result.stderr), result.stderr
 
 
 def test_every_per_layer_function_runs(data_dir, tmp_path, monkeypatch):
@@ -874,15 +881,20 @@ FIXTURE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(FIXTURE_DIGESTS))
-def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path, case):
+def _assert_fixture_digests(data_dir, tmp_path, case) -> None:
+    """Run the fixture under case's flags into tmp_path/out; ARTIFACTS keep case's digests."""
     basis, convention, method, *no_gini = case.split("-")
     run(base_config(data_dir, tmp_path, gini=None if no_gini else str(data_dir / "gini.csv"),
                     pca_basis=Basis(basis), loading_convention=LoadingConvention(convention),
                     percentile_method=PercentileMethod(method)))
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
                for name in ARTIFACTS}
-    assert digests == dict(zip(ARTIFACTS, FIXTURE_DIGESTS[case].split()))
+    assert digests == dict(zip(ARTIFACTS, FIXTURE_DIGESTS[case].split())), case
+
+
+@pytest.mark.parametrize("case", list(FIXTURE_DIGESTS))
+def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path, case):
+    _assert_fixture_digests(data_dir, tmp_path, case)
 
 
 def _emulate_another_build(monkeypatch, eps, seed) -> None:
@@ -905,10 +917,24 @@ def _emulate_another_build(monkeypatch, eps, seed) -> None:
 def test_fixture_bytes_survive_another_builds_eigenvectors(data_dir, tmp_path, monkeypatch,
                                                            eps, seed):
     _emulate_another_build(monkeypatch, eps, seed)
-    run(base_config(data_dir, tmp_path))
-    digests = [hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
-               for name in ARTIFACTS]
-    assert digests == FIXTURE_DIGESTS["correlation-unit-exclusive"].split()
+    _assert_fixture_digests(data_dir, tmp_path, "correlation-unit-exclusive")
+
+
+@pytest.mark.parametrize("driver", ["evd", "ev", "evr", "evx"])
+def test_fixture_bytes_survive_real_lapack_drivers(data_dir, tmp_path, monkeypatch, driver):
+    # LAPACK's symmetric eigensolvers as other builds may run them: divide and
+    # conquer (numpy's own), QR, MRRR and bisection; each case's spectrum.csv
+    # and loadings.csv may change, its 6-decimal artifacts may not
+    linalg = pytest.importorskip("scipy.linalg")
+    run(base_config(data_dir, tmp_path / "numpy"))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: linalg.eigh(a, driver=driver))
+    for case in FIXTURE_DIGESTS:
+        _assert_fixture_digests(data_dir, tmp_path / case, case)
+    if driver == "ev":
+        # QR moves the eigenvalues' last bits, so the solver really was swapped
+        spectrum = "correlation-unit-exclusive/out/spectrum.csv"
+        assert (tmp_path / spectrum).read_bytes() != (
+            tmp_path / "numpy" / "out" / "spectrum.csv").read_bytes()
 
 
 def test_eigenvectors_too_far_from_this_builds_exit_two_writing_nothing(data_dir, tmp_path,
