@@ -386,7 +386,9 @@ def run(config: RunConfig) -> dict:
                 ("load", "normalize", "pca", "score", "analysis", "write"), ticks, ticks[1:])},
         },
     }
-    _write_json(out_dir / "report.json", report)
+    # compact, so that the C encoder writes it: any indent takes the Python one
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, ensure_ascii=False) + "\n")
     return report
 
 

@@ -7,7 +7,10 @@ NumericalError. The result is deterministic (fixed sign convention), and
 reductions on the result path use fixed-order accumulation. Identical
 inputs give byte-identical output on the same platform and numpy/BLAS
 build; across builds only the last bits of the full-precision eigenpairs
-may differ.
+may differ. The covariance's summation order is numpy's einsum kernel,
+which is fixed within one numpy build;
+test_einsum_covariance_is_byte_identical_to_row_by_row_sum holds it to
+the row-by-row sum, and has been checked on AVX2 and AVX-512 kernels only.
 """
 
 from __future__ import annotations
@@ -101,10 +104,15 @@ def correlation_matrix(data: DataMatrix, basis: Basis = Basis.CORRELATION,
         raise InputError(f"need at least {MIN_STATES} rows to estimate correlations, got {n}")
 
     means = _ordered_sum(values) / n
-    dev = values - means
-    # products commute exactly, so each row's outer product, and with it
-    # the accumulated covariance, is bitwise symmetric
-    cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
+    # einsum adds a C-ordered dev's row products in row order, the same
+    # additions as one outer product at a time; products commute exactly,
+    # so the covariance is bitwise symmetric. A Fortran-ordered dev, or a
+    # single column, einsum sums in another order
+    dev = np.ascontiguousarray(values - means)
+    if dev.shape[1] == 1:
+        cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
+    else:
+        cov = np.einsum("ri,rj->ij", dev, dev, optimize=False) / (n - 1)
 
     if basis is Basis.COVARIANCE:
         return cov

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import inspect
 import itertools
@@ -78,6 +79,38 @@ def test_run_report_structure(data_dir, tmp_path):
     components = report["spectrum"]["components"]
     assert len(components) == 31
     assert sum(1 for c in components if c["selected"]) == report["selection"]["selected_count"]
+
+
+def test_report_json_is_one_compact_line(data_dir, tmp_path):
+    # report.json goes through json's C encoder, which any indent turns off;
+    # scenarios.json keeps its pinned indent-2 layout
+    report = run(base_config(data_dir, tmp_path))
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == report
+    assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
+    scenarios = (tmp_path / "out" / "scenarios.json").read_text(encoding="utf-8")
+    assert scenarios == json.dumps(report["scenarios"], indent=2, ensure_ascii=False) + "\n"
+
+
+def test_benchmark_layer_spans_name_public_functions_of_smi_cli():
+    # the benchmark's tracer times smi.cli's public smi functions by their
+    # defining module; a per-layer metric whose function moved or went
+    # private would never be measured
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    spans = [metric["name"].rsplit(".", 1)[0] for metric in spec["per_layer"]
+             if metric["unit"] != "count" and metric["name"] != "cli.import_s"
+             and not metric["name"].startswith("trace.")
+             and not metric["name"].endswith(".total_ms")]
+    assert len(spans) == 27
+    for span in spans:
+        module_name, name = span.split(".")
+        module = importlib.import_module(f"smi.{module_name}")
+        fn = getattr(module, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, span
+        assert not name.startswith("_"), span
+        assert getattr(smi.cli, name, None) is fn, span
 
 
 def test_run_without_gini_emits_warning_and_unclassified(data_dir, tmp_path):

@@ -63,6 +63,11 @@ def _reference_correlation(data, basis):
     for j in range(p):
         for k in range(j, p):
             cov[j, k] = cov[k, j] = _ordered_sum(dev[:, j] * dev[:, k]) / (n - 1)
+    return _correlation_from(cov, basis)
+
+
+def _correlation_from(cov, basis):
+    p = len(cov)
     if basis is Basis.COVARIANCE:
         return cov
     corr = np.empty((p, p))
@@ -87,6 +92,32 @@ def test_correlation_is_byte_identical_to_scalar_loops():
         for basis in Basis:
             got = correlation_matrix(data_matrix(data), basis)
             assert got.tobytes() == _reference_correlation(data, basis).tobytes()
+
+
+def test_einsum_covariance_is_byte_identical_to_row_by_row_sum():
+    # correlation_matrix sums the covariance with numpy's einsum kernel for
+    # p >= 2; it must add the row products in row order, as one outer
+    # product at a time does, whatever the memory order of the input
+    rng = np.random.default_rng(25)
+    for trial in range(60):
+        n = int(rng.integers(3, 60))
+        p = int(rng.integers(2, 50))
+        data = rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-5, 5, p) + rng.normal(0, 5, p)
+        signed_zeros = rng.random((n, p)) < 0.1
+        data[signed_zeros] = np.where(rng.random(int(signed_zeros.sum())) < 0.5, 0.0, -0.0)
+        bases = list(Basis)
+        if trial % 3 == 0:
+            # a column of +0 and -0 alone: constant, so covariance only
+            data[:, int(rng.integers(p))] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            bases = [Basis.COVARIANCE]
+        dev = data - _ordered_sum(data) / n
+        cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
+        for basis in bases:
+            expected = _correlation_from(cov, basis).tobytes()
+            c_ordered = correlation_matrix(data_matrix(np.ascontiguousarray(data)), basis)
+            f_ordered = correlation_matrix(data_matrix(np.asfortranarray(data)), basis)
+            assert c_ordered.tobytes() == expected, (trial, basis)
+            assert f_ordered.tobytes() == c_ordered.tobytes(), (trial, basis)
 
 
 def test_covariance_matches_numpy():
