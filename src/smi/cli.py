@@ -129,12 +129,6 @@ class RunConfig:
 _FIXED = "%.6f"
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
 def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
     line = ",".join([_FIXED] * matrix.shape[1])
     _write_rows(path, ["indicator_id", *ids],
@@ -329,7 +323,8 @@ def run(config: RunConfig) -> dict:
     write_observations(norm, out_dir / "normalized.csv")
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     _write_score_stage(out_dir, registry, weights, ranked)
-    _write_json(out_dir / "scenarios.json", scenarios)
+    (out_dir / "scenarios.json").write_text(
+        json.dumps(scenarios, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
                 (f"{_field(s)},{_FIXED % g},{_FIXED % v}" for s, g, v in scatter))
     # pillar by pillar, each state and pillar name quoted once
@@ -387,8 +382,8 @@ def run(config: RunConfig) -> dict:
         },
     }
     # compact, so that the C encoder writes it: any indent takes the Python one
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, ensure_ascii=False) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(report, ensure_ascii=False) + "\n",
+                                         encoding="utf-8")
     return report
 
 

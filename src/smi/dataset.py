@@ -54,6 +54,8 @@ GINI_HEADER = ["state", "gini"]
 
 # fewest states that give a sample correlation with a non-degenerate spread
 MIN_STATES = 3
+# fewest indicators that give a correlation between two columns
+MIN_INDICATORS = 2
 
 
 class Direction(Enum):
@@ -335,9 +337,8 @@ def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:
 
     if problems:
         raise InputError(problems, path)
-    # a correlation needs two columns
-    if len(specs) < 2:
-        raise InputError(f"need at least 2 indicators, got {len(specs)}", path)
+    if len(specs) < MIN_INDICATORS:
+        raise InputError(f"need at least {MIN_INDICATORS} indicators, got {len(specs)}", path)
     return IndicatorRegistry(specs=tuple(specs))
 
 

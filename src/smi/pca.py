@@ -5,12 +5,13 @@ and certifies them once: the off-diagonal norm of V^T A V must fall
 below DEFAULT_TOL relative to ||A||_F, or the run fails with a
 NumericalError. The result is deterministic (fixed sign convention), and
 reductions on the result path use fixed-order accumulation. Identical
-inputs give byte-identical output on the same platform and numpy/BLAS
-build; across builds only the last bits of the full-precision eigenpairs
-may differ. The covariance's summation order is numpy's einsum kernel,
-which is fixed within one numpy build;
-test_einsum_covariance_is_byte_identical_to_row_by_row_sum holds it to
-the row-by-row sum, and has been checked on AVX2 and AVX-512 kernels only.
+inputs give byte-identical output on the same platform, numpy/BLAS
+build and BLAS thread count; across builds or thread counts only the
+last bits of the full-precision eigenpairs may differ. The covariance's
+summation order is numpy's einsum kernel, which is fixed within one
+numpy build; test_einsum_covariance_is_byte_identical_to_row_by_row_sum
+holds it to the row-by-row sum, and has been checked on AVX2 and
+AVX-512 kernels only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import MIN_STATES, DataMatrix, validate_matrix
+from .dataset import MIN_INDICATORS, MIN_STATES, DataMatrix, validate_matrix
 from .errors import InputError, NumericalError
 
 # a p x p dense symmetric matrix and a p x k loading block are plain arrays
@@ -92,27 +93,27 @@ def correlation_matrix(data: DataMatrix, basis: Basis = Basis.CORRELATION,
                        path=None) -> SymmetricMatrix:
     """Pearson correlations (or sample covariances) of the columns of a DataMatrix.
 
-    Sample statistics use the n-1 denominator. Under the correlation
-    basis a column that validate_matrix rejects, or whose sample variance
-    squared underflows to 0 (a zero variance among them), cannot be
-    correlated: InputError names each such column by its indicator id,
-    and path, the file data was read from, when one is given.
+    Sample statistics use the n-1 denominator, over at least MIN_STATES
+    rows and MIN_INDICATORS columns. Under the correlation basis a column
+    that validate_matrix rejects, or whose sample variance squared
+    underflows to 0 (a zero variance among them), cannot be correlated:
+    InputError names each such column by its indicator id, and path, the
+    file data was read from, when one is given.
     """
     values = data.values
-    n = values.shape[0]
+    n, p = values.shape
     if n < MIN_STATES:
         raise InputError(f"need at least {MIN_STATES} rows to estimate correlations, got {n}")
+    if p < MIN_INDICATORS:
+        raise InputError(f"need at least {MIN_INDICATORS} indicators to correlate, got {p}")
 
     means = _ordered_sum(values) / n
     # einsum adds a C-ordered dev's row products in row order, the same
     # additions as one outer product at a time; products commute exactly,
     # so the covariance is bitwise symmetric. A Fortran-ordered dev, or a
-    # single column, einsum sums in another order
+    # single column (refused above), einsum sums in another order
     dev = np.ascontiguousarray(values - means)
-    if dev.shape[1] == 1:
-        cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
-    else:
-        cov = np.einsum("ri,rj->ij", dev, dev, optimize=False) / (n - 1)
+    cov = np.einsum("ri,rj->ij", dev, dev, optimize=False) / (n - 1)
 
     if basis is Basis.COVARIANCE:
         return cov

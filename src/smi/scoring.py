@@ -61,20 +61,19 @@ WeightVector = np.ndarray
 def compute_weights(loadings: np.ndarray, eigenvalues) -> WeightVector:
     """Weight each indicator by the eigenvalue-scaled sum of its absolute loadings.
 
-    loadings is the p x k block of the selected components and
+    loadings is the p x k block of the selected components, k >= 1, and
     eigenvalues their k eigenvalues. W_i = sum_j |L_ij| * E_j, accumulated
     one component column at a time in component order, so results are
     bit-reproducible and trivially sign-invariant under eigenvector flips.
     Eigenvalues within round-off below zero count as 0.
     """
     e_values = [float(e) for e in eigenvalues]
-    if loadings.shape[1] != len(e_values):
-        raise InputError(f"{loadings.shape[1]} loading columns for {len(e_values)} eigenvalues")
+    if loadings.shape[1] != len(e_values) or not e_values:
+        raise InputError(f"{loadings.shape[1]} loading columns for {len(e_values)} eigenvalues;"
+                         " need one eigenvalue per column, and at least one column")
     for e in e_values:
         if e < -PSD_SLACK:
             raise NumericalError(f"eigenvalue {e} is negative beyond round-off")
-    if not e_values:
-        return np.zeros(loadings.shape[0])
     l_abs = np.abs(loadings)
     return _ordered_sum(l_abs[:, j] * max(e, 0.0) for j, e in enumerate(e_values))
 

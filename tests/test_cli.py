@@ -16,7 +16,7 @@ import pytest
 
 import smi.cli
 from smi.cli import RunConfig, _style, run
-from smi.dataset import _field, write_observations
+from smi.dataset import PILLARS, _field, write_observations
 from smi.errors import InputError
 from smi.normalize import load_normalized
 from smi.pca import Basis, ComponentSelection, LoadingConvention, Spectrum
@@ -93,24 +93,27 @@ def test_report_json_is_one_compact_line(data_dir, tmp_path):
     assert scenarios == json.dumps(report["scenarios"], indent=2, ensure_ascii=False) + "\n"
 
 
+def _benchmark_spans() -> list[tuple[str, str]]:
+    """(layer, function) of each BENCHMARK.json per-layer metric that times one function."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    pattern = re.compile(r"(\w+)\.(\w+)\.(?:ms|self_ms)")
+    spans = [m.groups() for m in map(pattern.fullmatch, (e["name"] for e in spec["per_layer"]))
+             if m]
+    assert len(spans) == 27
+    return spans
+
+
 def test_benchmark_layer_spans_name_public_functions_of_smi_cli():
     # the benchmark's tracer times smi.cli's public smi functions by their
     # defining module; a per-layer metric whose function moved or went
     # private would never be measured
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-                      .read_text(encoding="utf-8"))
-    spans = [metric["name"].rsplit(".", 1)[0] for metric in spec["per_layer"]
-             if metric["unit"] != "count" and metric["name"] != "cli.import_s"
-             and not metric["name"].startswith("trace.")
-             and not metric["name"].endswith(".total_ms")]
-    assert len(spans) == 27
-    for span in spans:
-        module_name, name = span.split(".")
-        module = importlib.import_module(f"smi.{module_name}")
+    for layer, name in _benchmark_spans():
+        module = importlib.import_module(f"smi.{layer}")
         fn = getattr(module, name, None)
-        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, span
-        assert not name.startswith("_"), span
-        assert getattr(smi.cli, name, None) is fn, span
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (layer, name)
+        assert not name.startswith("_"), (layer, name)
+        assert getattr(smi.cli, name, None) is fn, (layer, name)
 
 
 def test_run_without_gini_emits_warning_and_unclassified(data_dir, tmp_path):
@@ -265,22 +268,6 @@ def test_zero_weight_pillar_warned_once(data_dir, tmp_path):
     assert sum(warning in w for w in report["warnings"]) == 1
     assert result.stderr.count(warning) == 1
     assert "Fair Wages" not in (out / "pillars.csv").read_text(encoding="utf-8")
-
-
-def test_benchmark_tracer_sees_every_per_layer_function():
-    # the benchmark's tracer times a layer by wrapping the public functions
-    # smi.cli names; a per-layer metric whose function smi.cli no longer
-    # names, or names from another module, goes unmeasured
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-                      .read_text(encoding="utf-8"))
-    pattern = re.compile(r"(\w+)\.(\w+)\.(?:ms|self_ms)")
-    named = [m.groups() for m in map(pattern.fullmatch, (e["name"] for e in spec["per_layer"]))
-             if m]
-    assert len(named) == 27
-    for layer, fn in named:
-        value = getattr(smi.cli, fn, None)
-        assert inspect.isfunction(value), fn
-        assert value.__module__ == f"smi.{layer}", (fn, value.__module__)
 
 
 def test_cli_exit_two_on_zero_total_weight(tmp_path):
@@ -645,12 +632,7 @@ def test_unusable_out_exits_one_naming_the_path(data_dir, tmp_path, case):
 def test_every_per_layer_function_runs(data_dir, tmp_path, monkeypatch):
     # a per-layer metric whose function the pipeline stops calling would
     # otherwise show only as a "not measured" line from the benchmark
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-                      .read_text(encoding="utf-8"))
-    pattern = re.compile(r"\w+\.(\w+)\.(?:ms|self_ms)")
-    names = [m.group(1) for m in map(pattern.fullmatch, (e["name"] for e in spec["per_layer"]))
-             if m]
-    assert len(names) == 27
+    names = [name for _, name in _benchmark_spans()]
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -968,6 +950,39 @@ def test_fixture_bytes_survive_real_lapack_drivers(data_dir, tmp_path, monkeypat
         spectrum = "correlation-unit-exclusive/out/spectrum.csv"
         assert (tmp_path / spectrum).read_bytes() != (
             tmp_path / "numpy" / "out" / "spectrum.csv").read_bytes()
+
+
+def test_artifacts_keep_their_bytes_across_blas_thread_counts(tmp_path):
+    # OpenBLAS splits eigh and V^T A V by its thread count, which defaults to
+    # the core count; at 130 indicators that can move the last bits of
+    # spectrum.csv and loadings.csv, but never of the artifacts README
+    # promises across thread counts
+    rng = np.random.default_rng(26)
+    n, p = 40, 130
+    latent = rng.normal(0.0, 1.0, n)
+    strength = rng.uniform(0.45, 0.85, p)
+    z = latent[:, None] * strength + rng.normal(0.0, 1.0, (n, p)) * np.sqrt(1.0 - strength**2)
+    matrix = data_matrix(rng.uniform(20.0, 80.0, p) + rng.uniform(5.0, 20.0, p) * z,
+                         pillars=PILLARS)
+    write_observations(matrix, tmp_path / "observations.csv")
+    (tmp_path / "indicators.csv").write_text(
+        "indicator_id,name,pillar,direction\n"
+        + "".join(f"{s.id},{s.name},{s.pillar},positive\n" for s in matrix.registry),
+        encoding="utf-8")
+    gini = np.clip(0.30 - 0.04 * latent + rng.normal(0.0, 0.03, n), 0.15, 0.60)
+    (tmp_path / "gini.csv").write_text(
+        "state,gini\n" + "".join(f"{s},{g:.3f}\n" for s, g in zip(matrix.states, gini)),
+        encoding="utf-8")
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "smi", "run", "--data", str(tmp_path / "observations.csv"),
+             "--meta", str(tmp_path / "indicators.csv"), "--gini", str(tmp_path / "gini.csv"),
+             "--out", str(tmp_path / threads)],
+            capture_output=True, text=True,
+            env={**os.environ, "SMI_NO_COLOR": "1", "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+    for name in ARTIFACTS:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_eigenvectors_too_far_from_this_builds_exit_two_writing_nothing(data_dir, tmp_path,

@@ -54,18 +54,6 @@ def test_correlation_matches_numpy():
         assert np.all(np.diag(corr) == 1.0)
 
 
-def _reference_correlation(data, basis):
-    # the scalar double loop the vectorised correlation_matrix replaced
-    n, p = data.shape
-    means = np.array([_ordered_sum(data[:, j]) / n for j in range(p)])
-    dev = data - means
-    cov = np.empty((p, p))
-    for j in range(p):
-        for k in range(j, p):
-            cov[j, k] = cov[k, j] = _ordered_sum(dev[:, j] * dev[:, k]) / (n - 1)
-    return _correlation_from(cov, basis)
-
-
 def _correlation_from(cov, basis):
     p = len(cov)
     if basis is Basis.COVARIANCE:
@@ -79,37 +67,28 @@ def _correlation_from(cov, basis):
     return corr
 
 
-def test_correlation_is_byte_identical_to_scalar_loops():
-    rng = np.random.default_rng(5)
-    for trial in range(40):
-        n = int(rng.integers(3, 50))
-        p = int(rng.integers(1, 25))
-        data = rng.normal(0, 1, (n, p)) * rng.uniform(0.1, 100, p) + rng.normal(0, 5, p)
-        if trial % 4 == 0:
-            data = np.round(data, 1)
-        if trial % 5 == 0 and p > 1:
-            data[:, -1] = -data[:, 0]
-        for basis in Basis:
-            got = correlation_matrix(data_matrix(data), basis)
-            assert got.tobytes() == _reference_correlation(data, basis).tobytes()
-
-
 def test_einsum_covariance_is_byte_identical_to_row_by_row_sum():
-    # correlation_matrix sums the covariance with numpy's einsum kernel for
-    # p >= 2; it must add the row products in row order, as one outer
-    # product at a time does, whatever the memory order of the input
+    # correlation_matrix sums the covariance with numpy's einsum kernel; it
+    # must add the row products in row order, as one outer product at a
+    # time does, whatever the memory order of the input
     rng = np.random.default_rng(25)
-    for trial in range(60):
+    for trial in range(80):
         n = int(rng.integers(3, 60))
         p = int(rng.integers(2, 50))
-        data = rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-5, 5, p) + rng.normal(0, 5, p)
+        # scales spread over 10 decades, or over the 0.1-100 of raw indicators
+        scales = 10.0 ** rng.uniform(-5, 5, p) if trial % 2 else rng.uniform(0.1, 100, p)
+        data = rng.normal(0, 1, (n, p)) * scales + rng.normal(0, 5, p)
+        if trial % 4 == 0:
+            data = np.round(data, 1)
         signed_zeros = rng.random((n, p)) < 0.1
         data[signed_zeros] = np.where(rng.random(int(signed_zeros.sum())) < 0.5, 0.0, -0.0)
-        bases = list(Basis)
         if trial % 3 == 0:
-            # a column of +0 and -0 alone: constant, so covariance only
+            # a column of +0 and -0 alone
             data[:, int(rng.integers(p))] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
-            bases = [Basis.COVARIANCE]
+        if trial % 5 == 0:
+            data[:, -1] = -data[:, 0]
+        # a constant column has a covariance but no correlation
+        bases = list(Basis) if np.all(data.min(axis=0) < data.max(axis=0)) else [Basis.COVARIANCE]
         dev = data - _ordered_sum(data) / n
         cov = _ordered_sum(np.multiply.outer(row, row) for row in dev) / (n - 1)
         for basis in bases:
@@ -118,6 +97,10 @@ def test_einsum_covariance_is_byte_identical_to_row_by_row_sum():
             f_ordered = correlation_matrix(data_matrix(np.asfortranarray(data)), basis)
             assert c_ordered.tobytes() == expected, (trial, basis)
             assert f_ordered.tobytes() == c_ordered.tobytes(), (trial, basis)
+    # einsum sums a single column in another order, so none is accepted
+    for basis in Basis:
+        with pytest.raises(InputError, match="at least 2 indicators"):
+            correlation_matrix(data_matrix(rng.normal(0, 1, (10, 1))), basis)
 
 
 def test_covariance_matches_numpy():

@@ -54,8 +54,9 @@ def test_weights_column_sign_flip_is_bit_invariant():
 def test_weights_dimension_mismatch():
     with pytest.raises(InputError, match="column"):
         compute_weights(np.ones((3, 2)), [1.0])
-    # no component is no mismatch: every indicator weighs 0
-    assert list(compute_weights(np.ones((3, 0)), [])) == [0.0, 0.0, 0.0]
+    # no component would weigh every indicator 0, which no index can use
+    with pytest.raises(InputError, match="at least one column"):
+        compute_weights(np.ones((3, 0)), [])
 
 
 def test_weights_negative_eigenvalue_beyond_slack():
