@@ -54,6 +54,18 @@ def test_correlation_matches_numpy():
         assert np.all(np.diag(corr) == 1.0)
 
 
+def _reference_correlation(data, basis):
+    # the scalar double loop the vectorised correlation_matrix replaced
+    n, p = data.shape
+    means = np.array([_ordered_sum(data[:, j]) / n for j in range(p)])
+    dev = data - means
+    cov = np.empty((p, p))
+    for j in range(p):
+        for k in range(j, p):
+            cov[j, k] = cov[k, j] = _ordered_sum(dev[:, j] * dev[:, k]) / (n - 1)
+    return _correlation_from(cov, basis)
+
+
 def _correlation_from(cov, basis):
     p = len(cov)
     if basis is Basis.COVARIANCE:
@@ -65,6 +77,21 @@ def _correlation_from(cov, basis):
             r = cov[j, k] / math.sqrt(cov[j, j] * cov[k, k])
             corr[j, k] = corr[k, j] = min(1.0, max(-1.0, r))
     return corr
+
+
+def test_correlation_is_byte_identical_to_scalar_loops():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = int(rng.integers(3, 50))
+        p = int(rng.integers(2, 25))
+        data = rng.normal(0, 1, (n, p)) * rng.uniform(0.1, 100, p) + rng.normal(0, 5, p)
+        if trial % 4 == 0:
+            data = np.round(data, 1)
+        if trial % 5 == 0:
+            data[:, -1] = -data[:, 0]
+        for basis in Basis:
+            got = correlation_matrix(data_matrix(data), basis)
+            assert got.tobytes() == _reference_correlation(data, basis).tobytes()
 
 
 def test_einsum_covariance_is_byte_identical_to_row_by_row_sum():
