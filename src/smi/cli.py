@@ -297,6 +297,18 @@ def _write_score_stage(out_dir: Path, registry: IndicatorRegistry, weights: np.n
     write_scores(out_dir / "scores.csv", ranked)
 
 
+# the environment variables that set BLAS thread counts, which the full-precision bytes depend on
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_meta() -> dict:
+    """meta.blas: numpy's version, its BLAS build, the CPU count and the thread variables as set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "name": blas["name"], "version": blas["version"],
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
+
+
 def run(config: RunConfig) -> dict:
     """Execute the full pipeline, write all stage dumps plus report.json, return the report."""
     started_at = datetime.now(timezone.utc).isoformat()
@@ -379,6 +391,7 @@ def run(config: RunConfig) -> dict:
             "elapsed_seconds": (time.perf_counter_ns() - ticks[0]) / 1e9,
             "stages": {name: (end - start) / 1e6 for name, start, end in zip(
                 ("load", "normalize", "pca", "score", "analysis", "write"), ticks, ticks[1:])},
+            "blas": _blas_meta(),
         },
     }
     # compact, so that the C encoder writes it: any indent takes the Python one

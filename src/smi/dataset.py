@@ -3,19 +3,23 @@
 Three CSV inputs drive a run: indicator metadata (id, name, pillar,
 direction), the state-by-indicator observation matrix, and an optional
 table of per-state Gini coefficients. Every CSV the program reads is
-streamed by _read_rows, one row at a time, which turns a missing,
-unreadable, non-UTF-8 or empty file into an InputError naming it. Every
-reader, the pca stage's handoff readers included, applies the rules kept
-here: _check_header (the header rule, the only code that compares a
-header row; a header that differs is reported by how it differs, after
-the rest of the file is read, so a read error anywhere in it is
-reported instead), _keyed_rows (the row rule) and _numeric_rows (the
-cell rule, the only code that parses a cell into a float and holds it
-to its range: finite by default, [0, 1] for gini.csv and
-normalized.csv; passing cells go straight into one float buffer).
-_read_table, which runs the three in turn, is the one reader of every
-numeric file. Every CSV it writes is opened by _write_rows, which writes
-lines each writer has already formatted, with labels quoted by _field.
+opened by _read_rows, which streams it one row at a time and turns a
+missing, unreadable, non-UTF-8 or empty file into an InputError naming
+it. Every reader, the pca stage's handoff readers included, applies the
+rules kept here: _check_header (the header rule, the only code that
+compares a header row; a header that differs is reported by how it
+differs, after the rest of the file is read, so a read error anywhere
+in it is reported instead), _keyed_rows (the row rule) and _numeric_rows
+(the cell rule, which parses a cell into a float and holds it to its range:
+finite by default, [0, 1] for gini.csv and normalized.csv; passing
+cells go straight into one float buffer). _read_table is the one reader
+of every numeric file: after the header rule it parses a clean unquoted
+body in one np.loadtxt call (_bulk_table), which takes only bodies the
+row and cell rules accept and reads the same floats, and leaves every
+other body to those rules, so they alone decide what is accepted and
+name every problem. Every CSV the program writes is opened by
+_write_rows, which writes lines each writer has already formatted, with
+labels quoted by _field.
 Loaders collect every problem they find and raise a single InputError
 listing all of them, each naming the file, with 1-based row numbers
 (the header is row 1). validate_matrix is the one column rule every stage calls.
@@ -304,15 +308,60 @@ def _check_header(path, rows: Iterator[list[str]], header: list[str]) -> None:
     raise InputError(problems or [f"columns are not in the order {','.join(header)!r}"], path)
 
 
+def _bulk_table(path, width: int, within: tuple[float, float]):
+    """(names, values) of a body plain enough for one np.loadtxt call, or None.
+
+    Streams path once for the names, then once through loadtxt. It gives
+    up, returning None, on a body line that holds " or one of the ASCII
+    separators U+001C to U+001F (which the C parse strips around a number
+    and float() refuses), has other than width commas (so a blank line too)
+    or is longer than csv's field limit, on an empty or repeated name,
+    and on a value outside the closed range within, nan included. So a
+    body it returns is one the row and cell rules accept, with the same
+    names, and the same float bits, since float() and the C parse both
+    end in PyOS_string_to_double. ValueError or OSError from reading
+    also leaves the file to the rules.
+    """
+    limit = csv.field_size_limit()
+    names: list[str] = []
+    # universal newlines end lines exactly where csv.reader ends unquoted rows; a
+    # quoted header field that spans lines ends in a body line holding "
+    with open(path, encoding="utf-8-sig") as fh:
+        fh.readline()
+        body = fh.tell()
+        for line in fh:
+            if (line.count(",") != width or len(line) > limit or '"' in line or "\x1c" in line
+                    or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                return None
+            names.append(line.partition(",")[0].strip())
+        if not names or "" in names or len(set(names)) != len(names):
+            return None
+        fh.seek(body)
+        values = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=range(1, width + 1), ndmin=2)
+    low, high = within
+    return (names, values) if np.all((low <= values) & (values <= high)) else None
+
+
 def _read_table(path, header: list[str], key: tuple[str, str],
                 within: tuple[float, float] = _FINITE):
     """(names, values) of a numeric CSV file under header: the one reader of every such file.
 
-    The header rule, then the row rule (key names the first column) and the cell rule.
+    The header rule, then one C parse of the body by _bulk_table, which
+    takes only bodies the row and cell rules accept. Any other body goes
+    to the row rule (key names the first column) and the cell rule,
+    which decide what is accepted and name every problem.
     """
     rows = _read_rows(path)
     _check_header(path, rows, header)
-    return _numeric_rows(path, rows, header[1:], key, within)
+    try:
+        table = _bulk_table(path, len(header) - 1, within)
+    except (ValueError, OSError):  # UnicodeDecodeError is a ValueError
+        table = None
+    if table is None:
+        return _numeric_rows(path, rows, header[1:], key, within)
+    rows.close()
+    return table
 
 
 def load_indicator_metadata(path: str | Path) -> IndicatorRegistry:

@@ -151,11 +151,13 @@ def test_loaders_reject_unreadable_files_naming_them(tmp_path, content, message,
 
 
 def test_loaders_stream_a_large_table_in_little_memory(tmp_path, indicators_path):
-    """A seeded 3,100 x 31 table, raw and normalized, loads with a traced peak under 3 MiB.
+    """A seeded 3,100 x 31 table, raw and normalized, loads with a traced peak of at most 2 MiB.
 
-    Rows stream from the file and cells go into one float buffer, so the
-    peak is about that 0.75 MiB buffer; a reader that holds the whole file
-    as lists of strings and of floats peaks near 10 MiB on this table.
+    The bulk read and the rules both stream the file a line or a row at a
+    time into one array, so the peak is about that 0.75 MiB array (1.2
+    MiB measured on either path); a reader that holds the 1.9 MB
+    normalized text at once breaks the bound, and one that holds the
+    file as lists of strings and of floats peaks near 10 MiB.
     """
     registry = load_indicator_metadata(indicators_path)
     rng = np.random.default_rng(1)
@@ -177,7 +179,7 @@ def test_loaders_stream_a_large_table_in_little_memory(tmp_path, indicators_path
         finally:
             tracemalloc.stop()
         assert matrix.values.shape == shape
-        assert peak < 3 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
+        assert peak <= 2 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_registry_rejects_duplicate_ids():

@@ -3,13 +3,14 @@ fixture's ranking, its report.json table documents every key a run writes,
 and the seeded script regenerates the fixture."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from smi.cli import RunConfig, run
+from smi.cli import BLAS_THREAD_VARIABLES, RunConfig, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,11 +62,18 @@ def _readme_report_rows() -> list[tuple[str, set[str]]]:
             re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, re.MULTILINE)]
 
 
-def test_readme_documents_every_report_key(data_dir, tmp_path):
+def test_readme_documents_every_report_key(data_dir, tmp_path, monkeypatch):
     # between them, the two reports hold every key path and type: only the
-    # first has states in the grid cells, only the second a null config.gini
+    # first has states in the grid cells and BLAS thread variables set, only
+    # the second a null config.gini, unset thread variables and no CPU count
     found: dict[str, set[str]] = {}
-    for gini in (str(data_dir / "gini.csv"), None):
+    for gini, threads, cpus in ((str(data_dir / "gini.csv"), "1", 2), (None, None, None)):
+        for name in BLAS_THREAD_VARIABLES:
+            if threads:
+                monkeypatch.setenv(name, threads)
+            else:
+                monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         run(RunConfig(data=str(data_dir / "observations_synthetic.csv"),
                       meta=str(data_dir / "indicators.csv"), gini=gini, out_dir=str(tmp_path)))
         _key_paths(json.loads((tmp_path / "report.json").read_text(encoding="utf-8")), "", found)
