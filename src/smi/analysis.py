@@ -54,7 +54,7 @@ def scenario_table(categories: dict[str, Category], inequality: dict[str, Inequa
     unclassified = []
     for state in sorted(categories):
         if state in inequality:
-            grid[categories[state].value][inequality[state].value].append(state)
+            grid[categories[state]._value_][inequality[state]._value_].append(state)
         else:
             unclassified.append(state)
     return {"gini_threshold": gini_threshold, "grid": grid, "unclassified": unclassified}

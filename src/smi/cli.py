@@ -10,9 +10,12 @@ artifact plus report.json. The normalize/pca/score subcommands read the
 previous stage's handoff files and call the same helper and writer, so
 chaining them reproduces the single-run outputs byte for byte (handoff
 files carry full float precision; presentation dumps are rounded to 6
-decimals). `main` builds every command's one RunConfig, whose field
-defaults are the flag defaults and which checks itself when made, and
-one `_emit` prints the warnings a command returns, or its error.
+decimals). The state-level artifacts (scores.csv, scatter.csv and each
+pillar's block of pillars.csv) are each filled in one % over a joined
+row template, every label a %s argument and never template text.
+`main` builds every command's one RunConfig, whose field defaults are
+the flag defaults and which checks itself when made, and one `_emit`
+prints the warnings a command returns, or its error.
 
 Exit codes: 0 success, 1 invalid input or configuration or an output
 that cannot be written, 2 numerical failure.
@@ -30,6 +33,8 @@ import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +130,21 @@ class RunConfig:
                 for f in fields(self) for value in [getattr(self, f.name)]}
 
 
-# the text of one presentation cell; a row of them is one % on a joined format
+# the text of one presentation cell; a matrix row of them, or every row of a
+# state-level artifact (_lines), is one % on a joined format
 _FIXED = "%.6f"
+
+
+def _lines(row: str, columns) -> list[str]:
+    """_write_rows' lines for one row template per entry of equal-length columns.
+
+    Every row is filled in one % over the CRLF-joined templates, and the
+    result is a single line; no entries give no lines. Labels among the
+    columns must already have gone through _field: they only ever fill a
+    %s, so a % in a label is written as it is.
+    """
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    return ["\r\n".join([row] * (len(cells) // len(columns))) % cells] if cells else []
 
 
 def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
@@ -204,9 +222,21 @@ def write_weights(path: Path, weights: np.ndarray, ids) -> None:
 
 
 def write_scores(path: Path, scores: list[StateScore]) -> None:
+    states, smis, ranks, categories = zip(*scores) if scores else ((),) * 4
     _write_rows(path, ["state", "smi", "rank", "category"],
-                (f"{_field(s.state)},{_FIXED % s.smi},{s.rank},{s.category.value}"
-                 for s in scores))
+                _lines("%s," + _FIXED + ",%d,%s", (map(_field, states), smis, ranks,
+                                                   map(attrgetter("_value_"), categories))))
+
+
+def _pillar_lines(pillars: dict[str, tuple[list[float], int]], quoted: list[str]):
+    """pillars.csv's lines: one block per pillar, every state in matrix row order.
+
+    quoted holds the states as _field quotes them.
+    """
+    for pillar, (values, best) in pillars.items():
+        flags = ["false"] * len(values)
+        flags[best] = "true"
+        yield from _lines("%s,%s," + _FIXED + ",%s", (quoted, repeat(_field(pillar)), values, flags))
 
 
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
@@ -248,8 +278,11 @@ def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: Ru
     thresholds = thresholds_from_scores(
         scores, config.low_percentile, config.high_percentile, config.percentile_method)
     ranked = state_scores(scores, thresholds)
-    for entry in ranked:
-        for name, cut in (("low", thresholds.t_low), ("high", thresholds.t_high)):
+    cuts = (("low", thresholds.t_low), ("high", thresholds.t_high))
+    smi = np.array([entry.smi for entry in ranked])
+    near = np.abs(smi[:, None] - [cut for _, cut in cuts]) < BOUNDARY_WARNING_MARGIN
+    for entry in map(ranked.__getitem__, np.flatnonzero(near.any(axis=1)).tolist()):
+        for name, cut in cuts:
             if abs(entry.smi - cut) < BOUNDARY_WARNING_MARGIN:
                 warnings.append(
                     f"{entry.state} scores within {BOUNDARY_WARNING_MARGIN} of the "
@@ -270,7 +303,8 @@ def _analysis_stage(norm: DataMatrix, weights: np.ndarray, scores: dict[str, flo
     if not config.gini:
         warnings.append("no gini file given; every state is unclassified in the scenario table")
     ineq = inequality_classes(norm.states, gini, config.gini_threshold)
-    scenarios = scenario_table({s.state: s.category for s in ranked}, ineq, config.gini_threshold)
+    scenarios = scenario_table({state: category for state, _, _, category in ranked}, ineq,
+                               config.gini_threshold)
     if config.gini and scenarios["unclassified"]:
         warnings.append("no gini value for: " + ", ".join(scenarios["unclassified"]))
     unused = [state for state in gini if state not in ineq]
@@ -337,14 +371,11 @@ def run(config: RunConfig) -> dict:
     _write_score_stage(out_dir, registry, weights, ranked)
     (out_dir / "scenarios.json").write_text(
         json.dumps(scenarios, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    states, ginis, smis = zip(*scatter) if scatter else ((),) * 3
     _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
-                (f"{_field(s)},{_FIXED % g},{_FIXED % v}" for s, g, v in scatter))
-    # pillar by pillar, each state and pillar name quoted once
-    quoted = [_field(state) for state in norm.states]
+                _lines("%s," + _FIXED + "," + _FIXED, (map(_field, states), ginis, smis)))
     _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-                (f"{state},{name},{_FIXED % v},{'true' if i == best else 'false'}"
-                 for pillar, (values, best) in pillars.items() for name in [_field(pillar)]
-                 for i, (state, v) in enumerate(zip(quoted, values))))
+                _pillar_lines(pillars, [_field(state) for state in norm.states]))
     # write covers the nine artifacts above: report.json cannot hold its own dump time
     ticks.append(time.perf_counter_ns())
 
@@ -380,8 +411,8 @@ def run(config: RunConfig) -> dict:
         "weights": {ind_id: float(w) for ind_id, w in zip(registry.ids, weights)},
         "thresholds": {"t_low": thresholds.t_low, "t_high": thresholds.t_high},
         "scores": [
-            {"state": s.state, "smi": s.smi, "rank": s.rank, "category": s.category.value}
-            for s in ranked
+            {"state": state, "smi": smi, "rank": rank, "category": category._value_}
+            for state, smi, rank, category in ranked
         ],
         "scenarios": scenarios,
         "warnings": warnings,

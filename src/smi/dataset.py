@@ -204,9 +204,9 @@ def _field(text: str) -> str:
 def _write_rows(path: str | Path, header: list[str], lines) -> None:
     """Write a CSV file: the header cells, then lines the caller has formatted.
 
-    Each line is one row of comma-joined cells, without its line end;
-    labels in it must already have gone through _field. Lines end in
-    CRLF, as csv.writer ends them. Writers give a full-precision float
+    Each line is one or more rows of comma-joined cells, CRLF between
+    rows, without its last line end; labels in it must already have gone
+    through _field. Rows end in CRLF, as csv.writer ends them. Writers give a full-precision float
     cell as repr(float), the shortest text that reads back to the same
     float, so handoff files round-trip exactly.
     """

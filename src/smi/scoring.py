@@ -3,7 +3,9 @@
 Weights come from absolute loadings scaled by their component's
 eigenvalue; each state's index is the weight-normalized mean of its
 rescaled indicators, so it always lands in [0, 1]. Categories cut the
-score distribution at two of its own percentiles.
+score distribution at two of its own percentiles. Ranking is two C
+sorts; each state's result is one StateScore named tuple, built
+positionally with the cutoffs and categories held in locals.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +49,9 @@ class CategoryThresholds:
             raise InputError(f"t_low {self.t_low} exceeds t_high {self.t_high}")
 
 
-@dataclass(frozen=True)
-class StateScore:
+class StateScore(NamedTuple):
+    """One state's result; a tuple, so a list of them transposes with zip(*ranked)."""
+
     state: str
     smi: float
     rank: int
@@ -143,15 +147,15 @@ def thresholds_from_scores(scores: dict[str, float], low_percentile: float = 25.
 def state_scores(scores: dict[str, float], thresholds: CategoryThresholds) -> list[StateScore]:
     """Rank and categorize every state in one pass, in rank order.
 
-    Ranks run 1..n by descending score, exact ties in state name order.
-    High is at or above t_high, Low strictly below t_low, Medium between.
+    Ranks run 1..n by descending score, exact ties in state name order:
+    a stable descending sort of the names in name order. High is at or
+    above t_high, Low strictly below t_low, Medium between.
     """
     if not scores:
         raise InputError("cannot rank an empty score map")
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        StateScore(state=state, smi=value, rank=position,
-                   category=Category.HIGH if value >= thresholds.t_high
-                   else Category.LOW if value < thresholds.t_low else Category.MEDIUM)
-        for position, (state, value) in enumerate(ordered, start=1)
-    ]
+    ordered = sorted(sorted(scores), key=scores.__getitem__, reverse=True)
+    t_low, t_high = thresholds.t_low, thresholds.t_high
+    low, medium, high = Category.LOW, Category.MEDIUM, Category.HIGH
+    return [StateScore(state, value, position,
+                       high if value >= t_high else low if value < t_low else medium)
+            for position, state in enumerate(ordered, start=1) for value in [scores[state]]]

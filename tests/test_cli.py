@@ -757,24 +757,77 @@ def _same_files(new, old) -> None:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
-def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
-    ids = (ODD_ID, " lead", 'q"uote', "plain")
-    values = np.random.default_rng(3).random((6, 4))
-    values[:, 0] = AWKWARD_FLOATS
-    norm = data_matrix(values, ids=ids, states=(*ODD_STATES, "A", "B", "C"))
+# what a state name is built from: % directives, which a label spliced into
+# a row template would consume or rewrite, csv's quoting characters, line
+# ends and a leading space
+ODD_FRAGMENTS = ("%", "%s", "%%", "%d", ",", '"', "\r\n", "\n", "\r", " ", "")
+
+
+def _odd_table(seed: int, groups: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """3 * groups states named from ODD_FRAGMENTS, by 4 indicators; each group of three rows is
+    equal, so its states tie exactly and their ranks fall to name order."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(ODD_FRAGMENTS), (3 * groups, 2)).tolist()
+    # the S%03d core keeps the names unique, also once the loaders strip them
+    states = tuple(f"{ODD_FRAGMENTS[a]}S{i:03d}{ODD_FRAGMENTS[b]}"
+                   for i, (a, b) in enumerate(picks))
+    return states, np.repeat(rng.random((groups, 4)), 3, axis=0)
+
+
+def _write_stages_both_ways(out, norm) -> None:
+    """The stage writers' files against the reference writers', for norm."""
     registry = norm.registry
     config = RunConfig(data="", meta="", out_dir="")
     corr, spectrum, selection, loadings = smi.cli._pca_stage(norm, config, [])
     weights, _, _, ranked = smi.cli._score_stage(
         norm, loadings, spectrum.eigenvalues[:selection.count], config, [])
-    new, old = tmp_path / "new", tmp_path / "old"
-    new.mkdir()
+    new, old = out / "new", out / "old"
+    new.mkdir(parents=True)
     old.mkdir()
     write_observations(norm, new / "normalized.csv")
     smi.cli._write_pca_stage(new, registry, corr, spectrum, selection, loadings)
     smi.cli._write_score_stage(new, registry, weights, ranked)
     _write_like_csv_writer(old, norm, (corr, spectrum, selection, loadings, weights, ranked))
     _same_files(new, old)
+
+
+def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
+    ids = (ODD_ID, " lead", 'q"uote', "plain")
+    values = np.random.default_rng(3).random((6, 4))
+    values[:, 0] = AWKWARD_FLOATS
+    _write_stages_both_ways(
+        tmp_path / "small", data_matrix(values, ids=ids, states=(*ODD_STATES, "A", "B", "C")))
+    states, values = _odd_table(29, 100)
+    _write_stages_both_ways(tmp_path / "odd", data_matrix(values, ids=ids, states=states))
+
+
+@pytest.mark.parametrize("with_gini", [True, False])
+def test_run_writes_odd_labels_like_csv_writer(tmp_path, with_gini):
+    # with_gini: every other state has a Gini value; without, gini.csv has
+    # no row and scatter.csv is its header alone
+    states, values = _odd_table(31, 80)
+    ids = (ODD_ID, "b", "c", "d")
+    for name, header, rows in [
+        ("indicators.csv", ["indicator_id", "name", "pillar", "direction"],
+         ([ind_id, ind_id, PILLARS[j % 2], "positive"] for j, ind_id in enumerate(ids))),
+        ("observations.csv", ["state", *ids],
+         ([state, *row] for state, row in zip(states, values.tolist()))),
+        ("gini.csv", ["state", "gini"],
+         ([state, 0.2 + 0.2 * (i % 3)] for i, state in enumerate(states[::2] if with_gini else ()))),
+    ]:
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    config = RunConfig(data=str(tmp_path / "observations.csv"), meta=str(tmp_path / "indicators.csv"),
+                       gini=str(tmp_path / "gini.csv"), out_dir=str(tmp_path / "run"))
+    report = run(config)
+    assert len(report["scores"]) == len(states)
+    _run_like_csv_writer(config, tmp_path / "old")
+    _same_files(tmp_path / "run", tmp_path / "old")
+    scatter = (tmp_path / "run" / "scatter.csv").read_bytes()
+    if with_gini:
+        assert b"%%" in scatter and b"%s" in scatter
+    else:
+        assert scatter == b"state,gini,smi\r\n"
 
 
 def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_dir, tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from smi.cli import BOUNDARY_WARNING_MARGIN, RunConfig, _FIXED, _score_stage
 from smi.errors import InputError, NumericalError
 from smi.scoring import (
     Category,
@@ -274,3 +277,55 @@ def test_weights_and_index_are_byte_identical_to_scalar_loops():
         assert scores == _reference_composite(norm, weights)
         assert list(scores) == list(norm.states)
         assert all(type(v) is float for v in scores.values())
+
+
+def _reference_state_scores(scores, thresholds):
+    # the per-state loop state_scores replaced: one key tuple, one comparison chain per state
+    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(state, value, position,
+             Category.HIGH if value >= thresholds.t_high
+             else Category.LOW if value < thresholds.t_low else Category.MEDIUM)
+            for position, (state, value) in enumerate(ordered, start=1)]
+
+
+def _reference_warnings(ranked, thresholds):
+    # the loop _score_stage ran over every state, before a numpy comparison picked candidates
+    warnings = []
+    for state, value, _, _ in ranked:
+        for name, cut in (("low", thresholds.t_low), ("high", thresholds.t_high)):
+            if abs(value - cut) < BOUNDARY_WARNING_MARGIN:
+                warnings.append(
+                    f"{state} scores within {BOUNDARY_WARNING_MARGIN} of the "
+                    f"{name} threshold ({_FIXED % value} vs {_FIXED % cut}); "
+                    "its category is sensitive to score rounding")
+    return warnings
+
+
+# a small pool, so that draws tie exactly, sit on a percentile cutoff, and
+# land within BOUNDARY_WARNING_MARGIN of one; a fine grid and free floats besides
+NEAR_CUTOFF_SCORES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.2505, 0.2495, 0.251, 0.5, 0.5 + 1e-3, 0.5 - 1e-3, 0.75, 1.0]),
+    st.integers(0, 400).map(lambda k: k / 400),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(data=st.data(), n=st.integers(3, 40),
+       method=st.sampled_from(list(PercentileMethod)),
+       cut=st.sampled_from([(25.0, 75.0), (10.0, 90.0), (40.0, 60.0), (50.0, 50.5)]))
+def test_state_scores_and_boundary_warnings_match_the_per_state_loop(data, n, method, cut):
+    values = data.draw(st.lists(NEAR_CUTOFF_SCORES, min_size=n, max_size=n))
+    states = data.draw(st.lists(st.text("ab%, ", min_size=1, max_size=3),
+                                min_size=n, max_size=n, unique=True))
+    # one indicator of weight 1, so each state's score is its drawn value exactly
+    norm = data_matrix(np.array(values)[:, None], states=tuple(states))
+    config = RunConfig(data="", meta="", out_dir="", percentile_method=method,
+                       low_percentile=cut[0], high_percentile=cut[1])
+    warnings = []
+    _, scores, thresholds, ranked = _score_stage(norm, np.ones((1, 1)), [1.0], config, warnings)
+    assert scores == dict(zip(states, values))
+    reference = _reference_state_scores(scores, thresholds)
+    assert ranked == reference
+    assert state_scores(scores, thresholds) == reference
+    assert all(got.category is want for got, (*_, want) in zip(ranked, reference))
+    assert warnings == _reference_warnings(reference, thresholds)
