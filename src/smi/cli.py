@@ -10,9 +10,9 @@ artifact plus report.json. The normalize/pca/score subcommands read the
 previous stage's handoff files and call the same helper and writer, so
 chaining them reproduces the single-run outputs byte for byte (handoff
 files carry full float precision; presentation dumps are rounded to 6
-decimals). The state-level artifacts (scores.csv, scatter.csv and each
-pillar's block of pillars.csv) are each filled in one % over a joined
-row template, every label a %s argument and never template text.
+decimals). Every CSV artifact is one dataset._write_rows call: a
+header, the %-template of one row and its columns, every label a %s
+argument and never template text.
 `main` builds every command's one RunConfig, whose field defaults are
 the flag defaults and which checks itself when made, and one `_emit`
 prints the warnings a command returns, or its error.
@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import chain, repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +75,7 @@ from .scoring import (
     PSD_SLACK,
     PercentileMethod,
     StateScore,
+    _percentile_pair_problems,
     composite_index,
     compute_weights,
     state_scores,
@@ -108,11 +107,7 @@ class RunConfig:
     loading_convention: LoadingConvention = LoadingConvention.UNIT_EIGENVECTOR
 
     def __post_init__(self) -> None:
-        problems = []
-        if not (0.0 < self.low_percentile < self.high_percentile < 100.0):
-            problems.append(
-                "percentiles must satisfy 0 < low < high < 100, got "
-                f"low={self.low_percentile} high={self.high_percentile}")
+        problems = _percentile_pair_problems(self.low_percentile, self.high_percentile)
         if not math.isfinite(self.eigen_threshold):
             problems.append(f"eigen threshold must be finite, got {self.eigen_threshold}")
         elif self.eigen_threshold < 0.0:
@@ -130,39 +125,23 @@ class RunConfig:
                 for f in fields(self) for value in [getattr(self, f.name)]}
 
 
-# the text of one presentation cell; a matrix row of them, or every row of a
-# state-level artifact (_lines), is one % on a joined format
+# the text of one presentation cell; full-precision cells are %r
 _FIXED = "%.6f"
 
 
-def _lines(row: str, columns) -> list[str]:
-    """_write_rows' lines for one row template per entry of equal-length columns.
-
-    Every row is filled in one % over the CRLF-joined templates, and the
-    result is a single line; no entries give no lines. Labels among the
-    columns must already have gone through _field: they only ever fill a
-    %s, so a % in a label is written as it is.
-    """
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    return ["\r\n".join([row] * (len(cells) // len(columns))) % cells] if cells else []
-
-
 def write_correlation(path: Path, matrix: np.ndarray, ids) -> None:
-    line = ",".join([_FIXED] * matrix.shape[1])
-    _write_rows(path, ["indicator_id", *ids],
-                (_field(ind_id) + "," + line % tuple(row)
-                 for ind_id, row in zip(ids, matrix.tolist())))
+    _write_rows(path, ["indicator_id", *ids], "%s" + ("," + _FIXED) * matrix.shape[1],
+                [list(map(_field, ids)), *matrix.T])
 
 
 SPECTRUM_HEADER = ["component", "eigenvalue", "explained_variance_ratio", "selected"]
 
 
 def write_spectrum(path: Path, spectrum: Spectrum, selection: ComponentSelection) -> None:
-    total = spectrum.total_variance
-    k = selection.count
-    _write_rows(path, SPECTRUM_HEADER,
-                (f"{j + 1},{value!r},{value / total!r},{int(j < k)}"
-                 for j, value in enumerate(spectrum.eigenvalues.tolist())))
+    values, k = spectrum.eigenvalues, selection.count
+    _write_rows(path, SPECTRUM_HEADER, "%d,%r,%r,%d",
+                (range(1, len(values) + 1), values, values / spectrum.total_variance,
+                 [1] * k + [0] * (len(values) - k)))
 
 
 def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
@@ -200,9 +179,8 @@ def _loadings_header(k: int) -> list[str]:
 
 
 def write_loadings(path: Path, loadings: np.ndarray, ids) -> None:
-    _write_rows(path, _loadings_header(loadings.shape[1]),
-                (_field(ind_id) + "," + ",".join(map(repr, row))
-                 for ind_id, row in zip(ids, loadings.tolist())))
+    _write_rows(path, _loadings_header(loadings.shape[1]), "%s" + ",%r" * loadings.shape[1],
+                [list(map(_field, ids)), *loadings.T])
 
 
 def read_loadings(path: Path, registry: IndicatorRegistry, k: int) -> np.ndarray:
@@ -217,26 +195,13 @@ def read_loadings(path: Path, registry: IndicatorRegistry, k: int) -> np.ndarray
 
 
 def write_weights(path: Path, weights: np.ndarray, ids) -> None:
-    _write_rows(path, ["indicator_id", "weight"],
-                (_field(ind_id) + "," + _FIXED % w for ind_id, w in zip(ids, weights.tolist())))
+    _write_rows(path, ["indicator_id", "weight"], "%s," + _FIXED, (list(map(_field, ids)), weights))
 
 
 def write_scores(path: Path, scores: list[StateScore]) -> None:
     states, smis, ranks, categories = zip(*scores) if scores else ((),) * 4
-    _write_rows(path, ["state", "smi", "rank", "category"],
-                _lines("%s," + _FIXED + ",%d,%s", (map(_field, states), smis, ranks,
-                                                   map(attrgetter("_value_"), categories))))
-
-
-def _pillar_lines(pillars: dict[str, tuple[list[float], int]], quoted: list[str]):
-    """pillars.csv's lines: one block per pillar, every state in matrix row order.
-
-    quoted holds the states as _field quotes them.
-    """
-    for pillar, (values, best) in pillars.items():
-        flags = ["false"] * len(values)
-        flags[best] = "true"
-        yield from _lines("%s,%s," + _FIXED + ",%s", (quoted, repeat(_field(pillar)), values, flags))
+    _write_rows(path, ["state", "smi", "rank", "category"], "%s," + _FIXED + ",%d,%s",
+                (list(map(_field, states)), smis, ranks, [c._value_ for c in categories]))
 
 
 def _prepare(config: RunConfig) -> tuple[Path, IndicatorRegistry]:
@@ -281,13 +246,13 @@ def _score_stage(norm: DataMatrix, loadings: np.ndarray, eigenvalues, config: Ru
     cuts = (("low", thresholds.t_low), ("high", thresholds.t_high))
     smi = np.array([entry.smi for entry in ranked])
     near = np.abs(smi[:, None] - [cut for _, cut in cuts]) < BOUNDARY_WARNING_MARGIN
-    for entry in map(ranked.__getitem__, np.flatnonzero(near.any(axis=1)).tolist()):
-        for name, cut in cuts:
-            if abs(entry.smi - cut) < BOUNDARY_WARNING_MARGIN:
-                warnings.append(
-                    f"{entry.state} scores within {BOUNDARY_WARNING_MARGIN} of the "
-                    f"{name} threshold ({_FIXED % entry.smi} vs {_FIXED % cut}); "
-                    "its category is sensitive to score rounding")
+    # argwhere runs in row-major order: by rank, then low before high
+    for i, c in np.argwhere(near).tolist():
+        (state, value, _, _), (name, cut) = ranked[i], cuts[c]
+        warnings.append(
+            f"{state} scores within {BOUNDARY_WARNING_MARGIN} of the "
+            f"{name} threshold ({_FIXED % value} vs {_FIXED % cut}); "
+            "its category is sensitive to score rounding")
     return weights, scores, thresholds, ranked
 
 
@@ -331,6 +296,25 @@ def _write_score_stage(out_dir: Path, registry: IndicatorRegistry, weights: np.n
     write_scores(out_dir / "scores.csv", ranked)
 
 
+def _write_analysis_stage(out_dir: Path, states, scenarios: dict, scatter,
+                          pillars: dict[str, tuple[list[float], int]]) -> None:
+    """scenarios.json, scatter.csv, and pillars.csv: per pillar, its rows of states in order."""
+    (out_dir / "scenarios.json").write_text(
+        json.dumps(scenarios, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    names, ginis, smis = zip(*scatter) if scatter else ((),) * 3
+    _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"], "%s," + _FIXED + "," + _FIXED,
+                (list(map(_field, names)), ginis, smis))
+    n = len(states)
+    labels, values, flags = [], [], ["false"] * (n * len(pillars))
+    for k, (pillar, (sub_scores, best)) in enumerate(pillars.items()):
+        labels += [_field(pillar)] * n
+        values += sub_scores
+        flags[k * n + best] = "true"
+    _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
+                "%s,%s," + _FIXED + ",%s",
+                (list(map(_field, states)) * len(pillars), labels, values, flags))
+
+
 # the environment variables that set BLAS thread counts, which the full-precision bytes depend on
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -369,13 +353,7 @@ def run(config: RunConfig) -> dict:
     write_observations(norm, out_dir / "normalized.csv")
     _write_pca_stage(out_dir, registry, corr, spectrum, selection, loadings)
     _write_score_stage(out_dir, registry, weights, ranked)
-    (out_dir / "scenarios.json").write_text(
-        json.dumps(scenarios, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    states, ginis, smis = zip(*scatter) if scatter else ((),) * 3
-    _write_rows(out_dir / "scatter.csv", ["state", "gini", "smi"],
-                _lines("%s," + _FIXED + "," + _FIXED, (map(_field, states), ginis, smis)))
-    _write_rows(out_dir / "pillars.csv", ["state", "pillar", "score", "is_best"],
-                _pillar_lines(pillars, [_field(state) for state in norm.states]))
+    _write_analysis_stage(out_dir, norm.states, scenarios, scatter, pillars)
     # write covers the nine artifacts above: report.json cannot hold its own dump time
     ticks.append(time.perf_counter_ns())
 

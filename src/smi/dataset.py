@@ -17,9 +17,9 @@ of every numeric file: after the header rule it parses a clean unquoted
 body in one np.loadtxt call (_bulk_table), which takes only bodies the
 row and cell rules accept and reads the same floats, and leaves every
 other body to those rules, so they alone decide what is accepted and
-name every problem. Every CSV the program writes is opened by
-_write_rows, which writes lines each writer has already formatted, with
-labels quoted by _field.
+name every problem. Every CSV the program writes is one _write_rows
+call: a header, a row template and its columns, filled one bounded
+block of rows per %, labels quoted by _field.
 Loaders collect every problem they find and raise a single InputError
 listing all of them, each naming the file, with 1-based row numbers
 (the header is row 1). validate_matrix is the one column rule every stage calls.
@@ -201,18 +201,31 @@ def _field(text: str) -> str:
     return text
 
 
-def _write_rows(path: str | Path, header: list[str], lines) -> None:
-    """Write a CSV file: the header cells, then lines the caller has formatted.
+# cells in one block of rows (at least one row): each block is filled by one %,
+# so a writer holds about this many cells, and their text, at a time
+_BLOCK_CELLS = 8192
 
-    Each line is one or more rows of comma-joined cells, CRLF between
-    rows, without its last line end; labels in it must already have gone
-    through _field. Rows end in CRLF, as csv.writer ends them. Writers give a full-precision float
-    cell as repr(float), the shortest text that reads back to the same
-    float, so handoff files round-trip exactly.
+
+def _write_rows(path: str | Path, header: list[str], row: str, columns) -> None:
+    """Write a CSV file: the header cells, then row, a %-template, per entry of columns.
+
+    columns are equal-length sequences, an ndarray one made Python floats
+    a block at a time, so a %r cell is repr(float), which reads back to
+    the same float. Labels must have gone through _field and fill only %s.
+    Each block of _BLOCK_CELLS cells (or one wider row) is one % over the
+    CRLF-joined templates; rows end in CRLF, as csv.writer ends them.
     """
+    width = len(columns)
+    step = max(1, _BLOCK_CELLS // width)
+    line = row + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_field, header)) + "\r\n")
-        fh.writelines(line + "\r\n" for line in lines)
+        for start in range(0, len(columns[0]), step):
+            block = [column[start:start + step] for column in columns]
+            cells = [None] * (len(block[0]) * width)
+            for k, part in enumerate(block):
+                cells[k::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write((line * len(block[0])) % tuple(cells))
 
 
 def _keyed_rows(rows: Iterator[list[str]], width: int, key: tuple[str, str],
@@ -440,9 +453,8 @@ def validate_matrix(matrix: DataMatrix, path=None) -> dict[str, tuple[float, flo
 def write_observations(matrix, path: str | Path) -> None:
     """Write a DataMatrix, raw or rescaled, in the observations.csv layout.
 
-    Values keep full precision and read back bit for bit. Rows are
-    converted one at a time, so no second copy of the matrix is held.
+    Values keep full precision and read back bit for bit. _write_rows
+    converts one block of rows at a time, so no copy of the matrix is held.
     """
-    _write_rows(path, ["state", *matrix.registry.ids],
-                (_field(state) + "," + ",".join(map(repr, row.tolist()))
-                 for state, row in zip(matrix.states, matrix.values)))
+    _write_rows(path, ["state", *matrix.registry.ids], "%s" + ",%r" * matrix.n_indicators,
+                [list(map(_field, matrix.states)), *matrix.values.T])

@@ -130,13 +130,18 @@ def percentile(values, p: float, method: PercentileMethod = PercentileMethod.EXC
     return xs[i - 1] + (h - i) * (xs[i] - xs[i - 1])
 
 
+def _percentile_pair_problems(low: float, high: float) -> list[str]:
+    """The percentile-pair rule: no problem when 0 < low < high < 100, else its one message."""
+    return [] if 0.0 < low < high < 100.0 else [
+        f"percentiles must satisfy 0 < low < high < 100, got low={low} high={high}"]
+
+
 def thresholds_from_scores(scores: dict[str, float], low_percentile: float = 25.0,
                            high_percentile: float = 75.0,
                            method: PercentileMethod = PercentileMethod.EXCLUSIVE) -> CategoryThresholds:
     """Cut points taken from the score distribution itself."""
-    if not (0.0 < low_percentile < high_percentile < 100.0):
-        raise InputError(
-            f"need 0 < low < high < 100, got low={low_percentile} high={high_percentile}")
+    if problems := _percentile_pair_problems(low_percentile, high_percentile):
+        raise InputError(problems)
     values = list(scores.values())
     return CategoryThresholds(
         t_low=percentile(values, low_percentile, method),

@@ -5,10 +5,12 @@ import io
 import inspect
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ import pytest
 
 import smi.cli
 from smi.cli import RunConfig, _style, run
-from smi.dataset import PILLARS, _field, write_observations
+from smi.analysis import pillar_scores
+from smi.dataset import (PILLARS, _BLOCK_CELLS, DataMatrix, _field, load_indicator_metadata,
+                         write_observations)
 from smi.errors import InputError
 from smi.normalize import load_normalized
 from smi.pca import Basis, ComponentSelection, LoadingConvention, Spectrum
@@ -799,35 +803,90 @@ def test_stage_writers_write_what_csv_writer_wrote(tmp_path):
         tmp_path / "small", data_matrix(values, ids=ids, states=(*ODD_STATES, "A", "B", "C")))
     states, values = _odd_table(29, 100)
     _write_stages_both_ways(tmp_path / "odd", data_matrix(values, ids=ids, states=states))
+    # over 3 indicators normalized.csv and scores.csv are 4 cells wide, so these
+    # row counts end a row short of a block, on one, a row past one and past two
+    block = _BLOCK_CELLS // 4
+    states, values = _odd_table(37, (2 * block + 1) // 3 + 1)
+    for n in (block - 1, block, block + 1, 2 * block + 1):
+        _write_stages_both_ways(tmp_path / f"rows{n}",
+                                data_matrix(values[:n, :3], ids=ids[:3], states=states[:n]))
+    # correlation.csv is p + 1 cells wide over p rows: p fills exactly one block, p + 1
+    # takes a second
+    p = math.isqrt(_BLOCK_CELLS)
+    assert _BLOCK_CELLS // (p + 1) == p
+    for width in (p, p + 1):
+        _write_stages_both_ways(tmp_path / f"wide{width}", data_matrix(
+            np.random.default_rng(width).random((5, width)),
+            ids=(ODD_ID, *(f"c{j}" for j in range(1, width)))))
 
 
 @pytest.mark.parametrize("with_gini", [True, False])
 def test_run_writes_odd_labels_like_csv_writer(tmp_path, with_gini):
     # with_gini: every other state has a Gini value; without, gini.csv has
-    # no row and scatter.csv is its header alone
-    states, values = _odd_table(31, 80)
+    # no row and scatter.csv is its header alone. scores.csv and pillars.csv are
+    # 4 cells wide: 240 states put pillars.csv's one pillar boundary inside its
+    # first block, a block of states puts it on a block edge and exactly fills
+    # scores.csv's block, and one state more puts it a row into the second block
+    block = _BLOCK_CELLS // 4
+    many_states, many_values = _odd_table(41, block // 3 + 1)
     ids = (ODD_ID, "b", "c", "d")
-    for name, header, rows in [
-        ("indicators.csv", ["indicator_id", "name", "pillar", "direction"],
-         ([ind_id, ind_id, PILLARS[j % 2], "positive"] for j, ind_id in enumerate(ids))),
-        ("observations.csv", ["state", *ids],
-         ([state, *row] for state, row in zip(states, values.tolist()))),
-        ("gini.csv", ["state", "gini"],
-         ([state, 0.2 + 0.2 * (i % 3)] for i, state in enumerate(states[::2] if with_gini else ()))),
-    ]:
-        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header, *rows])
-    config = RunConfig(data=str(tmp_path / "observations.csv"), meta=str(tmp_path / "indicators.csv"),
-                       gini=str(tmp_path / "gini.csv"), out_dir=str(tmp_path / "run"))
-    report = run(config)
-    assert len(report["scores"]) == len(states)
-    _run_like_csv_writer(config, tmp_path / "old")
-    _same_files(tmp_path / "run", tmp_path / "old")
-    scatter = (tmp_path / "run" / "scatter.csv").read_bytes()
-    if with_gini:
-        assert b"%%" in scatter and b"%s" in scatter
-    else:
-        assert scatter == b"state,gini,smi\r\n"
+    for states, values in [_odd_table(31, 80), (many_states[:block], many_values[:block]),
+                           (many_states[:block + 1], many_values[:block + 1])]:
+        out = tmp_path / str(len(states))
+        out.mkdir()
+        for name, header, rows in [
+            ("indicators.csv", ["indicator_id", "name", "pillar", "direction"],
+             ([ind_id, ind_id, PILLARS[j % 2], "positive"] for j, ind_id in enumerate(ids))),
+            ("observations.csv", ["state", *ids],
+             ([state, *row] for state, row in zip(states, values.tolist()))),
+            ("gini.csv", ["state", "gini"],
+             ([state, 0.2 + 0.2 * (i % 3)]
+              for i, state in enumerate(states[::2] if with_gini else ()))),
+        ]:
+            with open(out / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        config = RunConfig(data=str(out / "observations.csv"), meta=str(out / "indicators.csv"),
+                           gini=str(out / "gini.csv"), out_dir=str(out / "run"))
+        report = run(config)
+        assert len(report["scores"]) == len(states)
+        _run_like_csv_writer(config, out / "old")
+        _same_files(out / "run", out / "old")
+        scatter = (out / "run" / "scatter.csv").read_bytes()
+        if with_gini:
+            assert b"%%" in scatter and b"%s" in scatter
+        else:
+            assert scatter == b"state,gini,smi\r\n"
+
+
+def test_writers_hold_one_block_of_a_large_table(tmp_path, indicators_path):
+    """A seeded 3,100 x 31 normalized.csv, and its pillars.csv, write within a 2 MiB traced peak.
+
+    _write_rows holds one block of about _BLOCK_CELLS cells and their text
+    at a time (0.6 MiB measured for normalized.csv); pillars.csv's four
+    31,000-entry columns bring it to 1.4 MiB. A writer that fills the
+    whole file in one % holds all of its text, and every cell as a Python
+    object, at once.
+    """
+    registry = load_indicator_metadata(indicators_path)
+    rng = np.random.default_rng(1)
+    norm = DataMatrix(tuple(f"County {i:04d}" for i in range(1, 3101)),
+                      rng.random((3100, len(registry))), registry)
+    pillars = pillar_scores(norm, rng.random(len(registry)))
+    assert len(pillars) == len(PILLARS)
+    for name, write in (
+            ("normalized.csv", lambda: write_observations(norm, tmp_path / "normalized.csv")),
+            ("pillars.csv", lambda: smi.cli._write_analysis_stage(
+                tmp_path, norm.states, {}, [], pillars))):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 3100 * (1 if name == "normalized.csv" else len(pillars))
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + rows
+        assert peak <= 2 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_run_writes_what_csv_writer_wrote_and_the_chain_reads_labels_back(data_dir, tmp_path):

@@ -181,7 +181,8 @@ def test_thresholds_ordered_and_validated():
     scores = {f"s{i}": v for i, v in enumerate([0.1, 0.4, 0.2, 0.9, 0.6])}
     thresholds = thresholds_from_scores(scores)
     assert thresholds.t_low <= thresholds.t_high
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^percentiles must satisfy 0 < low < high < 100, "
+                                         "got low=80.0 high=20.0$"):
         thresholds_from_scores(scores, low_percentile=80.0, high_percentile=20.0)
     with pytest.raises(ValueError, match="t_low"):
         CategoryThresholds(t_low=0.7, t_high=0.3)
