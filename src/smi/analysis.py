@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .dataset import DataMatrix, GiniTable, IndicatorRegistry
-from .errors import InputError
 from .pca import _ordered_sum
 from .scoring import Category, WeightVector, _weighted_mean
 
@@ -76,8 +75,6 @@ def _pillar_columns(registry: IndicatorRegistry) -> dict[str, list[int]]:
 def pillar_weight_totals(weights: WeightVector, registry: IndicatorRegistry) -> dict[str, float]:
     """Total weight carried by each pillar, in order of first appearance."""
     w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(registry):
-        raise InputError(f"{len(w)} weights for a registry of {len(registry)}")
     return {pillar: _ordered_sum(w[columns])
             for pillar, columns in _pillar_columns(registry).items()}
 

@@ -72,9 +72,9 @@ from .pca import (
     select_components,
 )
 from .scoring import (
-    PSD_SLACK,
     PercentileMethod,
     StateScore,
+    _negative_eigenvalues,
     _percentile_pair_problems,
     composite_index,
     compute_weights,
@@ -150,7 +150,7 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
     Under SPECTRUM_HEADER, the rows must be components 1..p in file order,
     one per registry indicator, with finite numbers; the rows flagged
     selected (non-zero) must be a non-empty leading prefix PC1..PCk, and
-    their eigenvalues no further below zero than scoring.PSD_SLACK.
+    their eigenvalues must pass scoring's negative-eigenvalue rule.
     """
     names, table = _read_table(path, SPECTRUM_HEADER, ("component", "component"))
     # Python floats, so that messages show an eigenvalue as 0.5, not np.float64(0.5)
@@ -166,10 +166,9 @@ def read_spectrum(path: Path, registry: IndicatorRegistry) -> list[float]:
             "selected components must be a leading prefix PC1..PCk, got "
             + (", ".join(f"PC{j + 1}" for j in selected) or "none"), path)
     eigenvalues = [eigenvalue for eigenvalue, _, _ in values[:len(selected)]]
-    negative = [f"row {j + 2}: eigenvalue {e!r} of PC{j + 1} is negative beyond round-off"
-                for j, e in enumerate(eigenvalues) if e < -PSD_SLACK]
-    if negative:
-        raise InputError(negative, path)
+    if negative := _negative_eigenvalues(eigenvalues):
+        raise InputError([f"row {j + 2}: eigenvalue {e!r} of PC{j + 1} is negative beyond round-off"
+                          for j, e in negative], path)
     return eigenvalues
 
 
@@ -199,7 +198,7 @@ def write_weights(path: Path, weights: np.ndarray, ids) -> None:
 
 
 def write_scores(path: Path, scores: list[StateScore]) -> None:
-    states, smis, ranks, categories = zip(*scores) if scores else ((),) * 4
+    states, smis, ranks, categories = zip(*scores)
     _write_rows(path, ["state", "smi", "rank", "category"], "%s," + _FIXED + ",%d,%s",
                 (list(map(_field, states)), smis, ranks, [c._value_ for c in categories]))
 

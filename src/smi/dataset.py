@@ -23,6 +23,8 @@ block of rows per %, labels quoted by _field.
 Loaders collect every problem they find and raise a single InputError
 listing all of them, each naming the file, with 1-based row numbers
 (the header is row 1). validate_matrix is the one column rule every stage calls.
+Only the loaders and normalize_matrix make an IndicatorRegistry or a
+DataMatrix, which do not check themselves: each rule has one body, in a loader.
 """
 
 from __future__ import annotations
@@ -79,25 +81,9 @@ class IndicatorSpec:
 
 @dataclass(frozen=True)
 class IndicatorRegistry:
-    """Ordered indicator list; its order is the canonical column order downstream."""
+    """Indicators in the canonical column order, as load_indicator_metadata checked them."""
 
     specs: tuple[IndicatorSpec, ...]
-
-    def __post_init__(self):
-        if not self.specs:
-            raise InputError("indicator registry is empty")
-        seen: dict[str, int] = {}
-        problems = []
-        for pos, spec in enumerate(self.specs):
-            if not spec.id:
-                problems.append(f"indicator at position {pos} has an empty id")
-            if spec.id in seen:
-                problems.append(f"duplicate indicator id {spec.id!r}")
-            seen.setdefault(spec.id, pos)
-            if spec.pillar not in PILLARS:
-                problems.append(f"indicator {spec.id!r} has unknown pillar {spec.pillar!r}")
-        if problems:
-            raise InputError(problems)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -116,23 +102,11 @@ class IndicatorRegistry:
 
 @dataclass
 class DataMatrix:
-    """State-by-indicator values, raw or rescaled, rows ordered as loaded."""
+    """State-by-indicator values (finite float64, n x p), raw or rescaled, rows as loaded."""
 
     states: tuple[str, ...]
     values: np.ndarray
     registry: IndicatorRegistry
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise InputError("observation values must be a 2-D matrix")
-        n, p = self.values.shape
-        if len(self.states) != n:
-            raise InputError(f"{len(self.states)} state labels for {n} rows")
-        if p != len(self.registry):
-            raise InputError(f"{p} columns for a registry of {len(self.registry)} indicators")
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("observation values must all be finite")
 
     @property
     def n_states(self) -> int:

@@ -233,6 +233,7 @@ def select_components(spectrum: Spectrum, eigen_threshold: float = 1.0,
     # a running prefix sum: the same additions, in the same order, as
     # _ordered_sum(eigenvalues[:k]) for every k it passes through
     explained = _ordered_sum(eigenvalues[:k])
+    # k < p binds only for a variance_target above 1, which this function does not refuse
     while threshold_count and explained / total < variance_target and k < p:
         explained += eigenvalues[k]
         k += 1

@@ -45,6 +45,8 @@ class CategoryThresholds:
     t_high: float
 
     def __post_init__(self):
+        # thresholds_from_scores reaches it: where a score spread overflows, percentile
+        # interpolates a lower p to inf, above a higher p's order statistic
         if self.t_low > self.t_high:
             raise InputError(f"t_low {self.t_low} exceeds t_high {self.t_high}")
 
@@ -62,6 +64,11 @@ class StateScore(NamedTuple):
 WeightVector = np.ndarray
 
 
+def _negative_eigenvalues(eigenvalues) -> list[tuple[int, float]]:
+    """The negative-eigenvalue rule: (position, value) of each eigenvalue below -PSD_SLACK."""
+    return [(j, e) for j, e in enumerate(eigenvalues) if e < -PSD_SLACK]
+
+
 def compute_weights(loadings: np.ndarray, eigenvalues) -> WeightVector:
     """Weight each indicator by the eigenvalue-scaled sum of its absolute loadings.
 
@@ -75,9 +82,8 @@ def compute_weights(loadings: np.ndarray, eigenvalues) -> WeightVector:
     if loadings.shape[1] != len(e_values) or not e_values:
         raise InputError(f"{loadings.shape[1]} loading columns for {len(e_values)} eigenvalues;"
                          " need one eigenvalue per column, and at least one column")
-    for e in e_values:
-        if e < -PSD_SLACK:
-            raise NumericalError(f"eigenvalue {e} is negative beyond round-off")
+    if negative := _negative_eigenvalues(e_values):
+        raise NumericalError(f"eigenvalue {negative[0][1]} is negative beyond round-off")
     l_abs = np.abs(loadings)
     return _ordered_sum(l_abs[:, j] * max(e, 0.0) for j, e in enumerate(e_values))
 
@@ -101,14 +107,12 @@ def composite_index(norm: DataMatrix, weights: WeightVector) -> dict[str, float]
 
 
 def percentile(values, p: float, method: PercentileMethod = PercentileMethod.EXCLUSIVE) -> float:
-    """Sample percentile of values for p in (0, 100).
+    """Sample percentile of values for p in (0, 100), which its caller checks.
 
     Exclusive is the Weibull plotting position h = (n+1)p/100 with linear
     interpolation (h clamped to [1, n]); Inclusive uses h = 1 + (n-1)p/100;
     NearestRank returns the ceil(np/100)-th order statistic.
     """
-    if not (0.0 < p < 100.0):
-        raise InputError(f"percentile p must lie in (0, 100), got {p}")
     xs = sorted(float(v) for v in values)
     n = len(xs)
     minimum = 3 if method is PercentileMethod.EXCLUSIVE else 1
@@ -120,6 +124,7 @@ def percentile(values, p: float, method: PercentileMethod = PercentileMethod.EXC
     elif method is PercentileMethod.INCLUSIVE:
         h = 1.0 + (n - 1) * p / 100.0
     else:
+        # n * p / 100 underflows to 0 for a p as small as 5e-324
         rank = max(1, math.ceil(n * p / 100.0))
         return xs[rank - 1]
 

@@ -69,3 +69,22 @@ def chain(data_dir, out, pca_flags=(), score_flags=()) -> list[int]:
                 "--loadings", str(out / "loadings.csv"), "--spectrum", str(out / "spectrum.csv"),
                 "--out", str(out), *score_flags)[0],
     ]
+
+
+def emulate_another_build(monkeypatch, eps, seed) -> None:
+    """Have np.linalg.eigh return another BLAS build's eigenvectors, eps from LAPACK's own.
+
+    They are emulated as LAPACK's V times an orthogonal Q within eps of I:
+    Q = I + S for a skew-symmetric S with ||S||_F = eps is orthogonal up to
+    eps^2, far below rounding here.
+    """
+    rng = np.random.default_rng(seed)
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        w, v = eigh(m)
+        g = rng.normal(0.0, 1.0, v.shape)
+        s = g - g.T
+        return w, v @ (np.eye(len(v)) + (eps / np.linalg.norm(s)) * s)
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)

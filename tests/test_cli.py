@@ -19,14 +19,15 @@ import pytest
 import smi.cli
 from smi.cli import RunConfig, _style, run
 from smi.analysis import pillar_scores
-from smi.dataset import (PILLARS, _BLOCK_CELLS, DataMatrix, _field, load_indicator_metadata,
-                         write_observations)
+from smi.dataset import (PILLARS, _BLOCK_CELLS, DataMatrix, _field, load_gini,
+                         load_indicator_metadata, write_observations)
 from smi.errors import InputError
 from smi.normalize import load_normalized
 from smi.pca import Basis, ComponentSelection, LoadingConvention, Spectrum
 from smi.scoring import PercentileMethod
 
-from helpers import STAGE_FILES, chain, console, data_matrix, fixture_args, run_cli
+from helpers import (STAGE_FILES, chain, console, data_matrix, emulate_another_build,
+                     fixture_args, run_cli)
 
 META3 = """\
 indicator_id,name,pillar,direction
@@ -74,6 +75,8 @@ def test_run_report_structure(data_dir, tmp_path):
                             "weights", "thresholds", "scores", "scenarios", "warnings", "meta"]
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert list(on_disk) == list(report)
+    # the value README documents; a key removal or a type change bumps it
+    assert report["schema_version"] == 1
     assert len(report["scores"]) == 22
     assert sorted(s["rank"] for s in report["scores"]) == list(range(1, 23))
     assert report["thresholds"]["t_low"] <= report["thresholds"]["t_high"]
@@ -162,6 +165,37 @@ def test_cli_exit_one_on_bad_percentile_flags(data_dir, tmp_path, monkeypatch, c
         smi.cli.entrypoint()
     assert exc.value.code == 1
     assert "percentiles" in capsys.readouterr().err
+
+
+def test_nearest_rank_floor_makes_the_lowest_score_t_low(data_dir, tmp_path):
+    # 22 * 5e-324 / 100 underflows to 0, whose ceiling is no rank at all;
+    # the floor at rank 1 keeps t_low at the lowest score, not above t_high
+    out = tmp_path / "out"
+    code, _, stderr = console("run", *fixture_args(data_dir, out), "--percentile-method",
+                              "nearest_rank", "--low-percentile", "5e-324")
+    assert code == 0, stderr
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["thresholds"]["t_low"] == min(s["smi"] for s in report["scores"])
+
+
+@pytest.mark.parametrize("threshold, inequality", [("0", "HighInequality"),
+                                                   ("1", "LowInequality")])
+def test_gini_threshold_bounds_put_every_state_in_one_class(data_dir, tmp_path, threshold,
+                                                            inequality):
+    # the boundary counts as high inequality, and the fixture's Gini values
+    # lie strictly inside (0, 1)
+    gini = load_gini(data_dir / "gini.csv")
+    assert 0.0 < min(gini.values()) and max(gini.values()) < 1.0
+    out = tmp_path / "out"
+    code, _, stderr = console("run", *fixture_args(data_dir, out),
+                              "--gini", str(data_dir / "gini.csv"), "--gini-threshold", threshold)
+    assert code == 0, stderr
+    scenarios = json.loads((out / "scenarios.json").read_text(encoding="utf-8"))
+    assert scenarios["gini_threshold"] == float(threshold)
+    assert sorted(state for row in scenarios["grid"].values() for cell, states in row.items()
+                  for state in states if cell == inequality) == sorted(gini)
+    assert all(not states for row in scenarios["grid"].values()
+               for cell, states in row.items() if cell != inequality)
 
 
 def test_cli_exit_one_lists_every_constant_column(tmp_path):
@@ -1024,26 +1058,10 @@ def test_fixture_artifacts_keep_their_bytes(data_dir, tmp_path, case):
     _assert_fixture_digests(data_dir, tmp_path, case)
 
 
-def _emulate_another_build(monkeypatch, eps, seed) -> None:
-    # another BLAS build's eigenvectors, emulated as LAPACK's V times an
-    # orthogonal Q within eps of I: Q = I + S for a skew-symmetric S with
-    # ||S||_F = eps is orthogonal up to eps^2, far below rounding here
-    rng = np.random.default_rng(seed)
-    eigh = np.linalg.eigh
-
-    def perturbed(m):
-        w, v = eigh(m)
-        g = rng.normal(0.0, 1.0, v.shape)
-        s = g - g.T
-        return w, v @ (np.eye(len(v)) + (eps / np.linalg.norm(s)) * s)
-
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-
-
 @pytest.mark.parametrize("eps, seed", [(1e-15, 0), (1e-15, 1), (1e-13, 0), (1e-13, 1)])
 def test_fixture_bytes_survive_another_builds_eigenvectors(data_dir, tmp_path, monkeypatch,
                                                            eps, seed):
-    _emulate_another_build(monkeypatch, eps, seed)
+    emulate_another_build(monkeypatch, eps, seed)
     _assert_fixture_digests(data_dir, tmp_path, "correlation-unit-exclusive")
 
 
@@ -1103,7 +1121,7 @@ def test_eigenvectors_too_far_from_this_builds_exit_two_writing_nothing(data_dir
     meta = str(data_dir / "indicators.csv")
     assert _main("normalize", *fixture_args(data_dir, out))[0] == 0
     normalized = (out / "normalized.csv").read_bytes()
-    _emulate_another_build(monkeypatch, 1e-11, 0)
+    emulate_another_build(monkeypatch, 1e-11, 0)
     code, stdout, stderr = console("pca", "--normalized", str(out / "normalized.csv"),
                                    "--meta", meta, "--out", str(out))
     assert (code, stdout) == (2, "")

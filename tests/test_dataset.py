@@ -182,19 +182,6 @@ def test_loaders_stream_a_large_table_in_little_memory(tmp_path, indicators_path
         assert peak <= 2 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
 
 
-def test_registry_rejects_duplicate_ids():
-    spec = IndicatorSpec(id="x", name="X", pillar="Health", direction=Direction.POSITIVE)
-    with pytest.raises(ValueError, match="duplicate"):
-        IndicatorRegistry(specs=(spec, spec))
-    with pytest.raises(InputError, match="registry is empty"):
-        IndicatorRegistry(specs=())
-    with pytest.raises(InputError) as exc:
-        IndicatorRegistry(specs=(IndicatorSpec("", "E", "Health", Direction.POSITIVE),
-                                 IndicatorSpec("y", "Y", "Wealth", Direction.POSITIVE)))
-    assert exc.value.errors == ["indicator at position 0 has an empty id",
-                                "indicator 'y' has unknown pillar 'Wealth'"]
-
-
 def test_observations_happy_path(obs_file, small_registry):
     matrix = load_observations(obs_file, small_registry)
     assert matrix.states == ("Alpha", "Beta", "Gamma", "Delta")
@@ -283,18 +270,6 @@ def test_observations_need_three_states(tmp_path, small_registry):
     path.write_text("state,le,abr,mys\nA,1,2,3\nB,4,5,6\n", encoding="utf-8")
     with pytest.raises(InputError, match="need at least 3"):
         load_observations(path, small_registry)
-
-
-def test_data_matrix_invariants(small_registry):
-    with pytest.raises(ValueError, match="finite"):
-        DataMatrix(states=("A", "B"), values=np.array([[1.0, 2.0, np.nan]] * 2),
-                   registry=small_registry)
-    with pytest.raises(ValueError, match="state labels"):
-        DataMatrix(states=("A", "B"), values=np.ones((3, 3)), registry=small_registry)
-    with pytest.raises(InputError, match="2-D"):
-        DataMatrix(states=("A",), values=np.ones(3), registry=small_registry)
-    with pytest.raises(InputError, match="2 columns for a registry of 3 indicators"):
-        DataMatrix(states=("A", "B"), values=np.ones((2, 2)), registry=small_registry)
 
 
 def test_gini_happy_and_empty(tmp_path):

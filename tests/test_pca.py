@@ -364,6 +364,14 @@ def test_select_extension_fires_to_reach_target():
     assert sel.explained_variance_ratio == pytest.approx(0.875, abs=1e-12)
 
 
+def test_select_extension_stops_at_every_component():
+    # select_components takes any variance_target; one above 1 is never met,
+    # and the extension stops at the last component
+    spec = Spectrum(eigenvalues=np.array([2.0, 1.0, 0.5]), eigenvectors=np.eye(3))
+    sel = select_components(spec, eigen_threshold=0.9, variance_target=1.5)
+    assert (sel.count, sel.threshold_count, sel.explained_variance_ratio) == (3, 2, 1.0)
+
+
 def test_select_threshold_is_strict():
     spec = Spectrum(eigenvalues=np.array([1.0 + 1e-9, 1.0, 0.5]), eigenvectors=np.eye(3))
     sel = select_components(spec, variance_target=0.0)

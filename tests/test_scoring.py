@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,10 +165,6 @@ def test_percentile_inclusive_and_nearest_rank():
 def test_percentile_input_checks():
     with pytest.raises(InputError, match="at least 3"):
         percentile([1.0, 2.0], 50.0, PercentileMethod.EXCLUSIVE)
-    with pytest.raises(InputError, match="0, 100"):
-        percentile([1.0, 2.0, 3.0], 0.0, PercentileMethod.EXCLUSIVE)
-    with pytest.raises(InputError, match="0, 100"):
-        percentile([1.0, 2.0, 3.0], 100.0, PercentileMethod.EXCLUSIVE)
     with pytest.raises(InputError, match="at least 1"):
         percentile([], 50.0, PercentileMethod.INCLUSIVE)
 
@@ -186,6 +183,54 @@ def test_thresholds_ordered_and_validated():
         thresholds_from_scores(scores, low_percentile=80.0, high_percentile=20.0)
     with pytest.raises(ValueError, match="t_low"):
         CategoryThresholds(t_low=0.7, t_high=0.3)
+    # percentile is not monotone in p once max - min overflows: at p = 30
+    # the exclusive interpolation is -1e308 + 0.5 * inf, while p = 80 lands
+    # on 1e308, and the order check is what refuses the pair
+    overflowing = {"a": -1e308, "b": 1e308, "c": 1e308, "d": 1e308}
+    with pytest.raises(InputError, match=r"^t_low inf exceeds t_high 1e\+308$"):
+        thresholds_from_scores(overflowing, 30.0, 80.0)
+
+
+def _position(method: PercentileMethod, n: int, p: float) -> float:
+    """The order-statistic position percentile takes for p: h, or n p / 100 for nearest rank."""
+    if method is PercentileMethod.EXCLUSIVE:
+        return (n + 1) * p / 100.0
+    if method is PercentileMethod.INCLUSIVE:
+        return 1.0 + (n - 1) * p / 100.0
+    return n * p / 100.0
+
+
+def _least_p_reaching(method: PercentileMethod, n: int, m: int) -> float:
+    """The least float p >= 0 whose position is at least the integer m (m, where a p hits it)."""
+    offset, scale = {PercentileMethod.EXCLUSIVE: (0, n + 1), PercentileMethod.INCLUSIVE: (1, n - 1),
+                     PercentileMethod.NEAREST_RANK: (0, n)}[method]
+    p = 100.0 * (m - offset) / scale
+    while p > 0.0 and _position(method, n, p) >= m:
+        p = math.nextafter(p, 0.0)
+    while _position(method, n, p) < m:
+        p = math.nextafter(p, math.inf)
+    return p
+
+
+# finite scores whose spread max - min is finite too; past that, see
+# test_thresholds_ordered_and_validated
+SPREAD_SAFE_SCORES = st.floats(-sys.float_info.max / 2, sys.float_info.max / 2)
+
+
+@given(data=st.data(), n=st.integers(3, 30), method=st.sampled_from(list(PercentileMethod)))
+def test_percentile_is_monotone_in_p(data, n, method):
+    # the pairs put the position just below an integer m and on it, where the
+    # interpolation moves to the next pair of order statistics; then the
+    # least p, for nearest rank's floor, and a free pair
+    values = data.draw(st.lists(st.one_of(NEAR_CUTOFF_SCORES, SPREAD_SAFE_SCORES),
+                                min_size=n, max_size=n))
+    m = data.draw(st.integers(1, n))
+    on = _least_p_reaching(method, n, m)
+    free = sorted(data.draw(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+                  for _ in range(2))
+    for low, high in [(math.nextafter(on, 0.0), on), (5e-324, on), free]:
+        if 0.0 < low < high < 100.0:
+            assert percentile(values, low, method) <= percentile(values, high, method)
 
 
 def test_categorize_boundaries():
